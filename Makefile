@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve verify clean
+.PHONY: all build test smoke smoke-parallel smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve verify clean
 
 all: build
 
@@ -14,41 +14,30 @@ test:
 	$(DUNE) runtest
 
 # A real end-to-end run: generated benchmark -> pipeline -> DYNSUM ->
-# metrics JSON on stdout. The python step fails the target if the blob
-# is not valid JSON or lacks the per-engine counters.
+# verdicts and metrics JSON on stdout (the last two lines). The python
+# step fails the target if the metrics blob is not valid JSON, lacks the
+# per-engine counters, or counts a different number of queries than the
+# verdicts of the same run.
 smoke:
-	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --metrics-json \
-	  | tail -n 1 \
-	  | python3 -c 'import json,sys; m=json.load(sys.stdin); e=m["engines"][0]; \
+	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --verdicts-json --metrics-json \
+	  | tail -n 2 \
+	  | python3 -c 'import json,sys; v, m=[json.loads(l) for l in sys.stdin]; e=m["engines"][0]; \
 	    assert m["schema"].startswith("ptsto.metrics/"), m; \
 	    assert {"engine","steps","queries","summary_hits","summary_misses"} <= set(e), e; \
-	    print("smoke ok:", e["engine"], e["steps"], "steps")'
+	    assert e["queries"] == v["queries"], (e["queries"], v["queries"]); \
+	    print("smoke ok:", e["engine"], e["queries"], "queries,", e["steps"], "steps")'
 
-# The same client through the parallel batch scheduler: two worker
-# domains over the shared frozen PAG, validated via the parallel metrics
-# blob (per-domain reports must cover every query).
+# The same client on two worker domains over the shared frozen PAG,
+# validated via the batch fields of the same metrics schema (per-domain
+# reports must cover every query exactly once).
 smoke-parallel:
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --jobs 2 --metrics-json \
 	  | tail -n 1 \
-	  | python3 -c 'import json,sys; m=json.load(sys.stdin); \
-	    assert m["schema"].startswith("ptsto.parallel-metrics/"), m; \
+	  | python3 -c 'import json,sys; m=json.load(sys.stdin); e=m["engines"][0]; \
+	    assert m["schema"].startswith("ptsto.metrics/"), m; \
 	    assert m["jobs"] == 2 and len(m["domains"]) == 2, m; \
-	    assert sum(d["queries"] for d in m["domains"]) == m["queries"], m; \
-	    print("parallel smoke ok:", m["queries"], "queries on", m["jobs"], "domains")'
-
-# Scheduling-policy equivalence end to end: the same checker batch on
-# two worker domains under work-stealing and under static sharding must
-# produce byte-identical report JSON — steals may reorder who answers a
-# query, never what the answer is.
-smoke-parallel-steal:
-	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 2 --schedule steal --fail-on never --report-json \
-	  | tail -n 1 > /tmp/ptsto_steal_report.json
-	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 2 --schedule static --fail-on never --report-json \
-	  | tail -n 1 > /tmp/ptsto_static_report.json
-	cmp /tmp/ptsto_steal_report.json /tmp/ptsto_static_report.json
-	python3 -c 'import json; r=json.load(open("/tmp/ptsto_steal_report.json")); \
-	  assert r["schema"].startswith("ptsto.check-report/"), r; \
-	  print("parallel-steal smoke ok:", r["counts"]["total"], "findings, steal == static bytes")'
+	    assert sum(d["queries"] for d in m["domains"]) == e["queries"], m; \
+	    print("parallel smoke ok:", e["queries"], "queries on", m["jobs"], "domains")'
 
 # Andersen-guided pruning end to end: the pruner must be consulted
 # (prune_checks > 0), must actually cut match-edge work on refinepts
@@ -150,15 +139,15 @@ smoke-serve:
 	  assert resp[5]["base"]["size"] > 0, resp[5]; \
 	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit")'
 
-check: build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
+check: build test smoke smoke-parallel smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
 
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Fast parallel-scheduler benchmark (jack, jobs 1/2, static + steal);
-# writes the machine-readable artefact next to the repo root. Only the
-# deterministic columns are asserted — set-equality across every
-# schedule/jobs configuration — because wall-clock ratios are noise on
+# Fast parallel-scheduler benchmark (jack, jobs 1/2); writes the
+# machine-readable artefact next to the repo root. Only the
+# deterministic columns are asserted — set-equality across every jobs
+# configuration — because wall-clock ratios are noise on
 # shared CI runners (the committed artefact carries the measured ones).
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- parallel_smoke \
@@ -167,9 +156,8 @@ bench-smoke:
 	python3 -c 'import json; \
 	  rows=json.load(open("BENCH_parallel_smoke.json"))["rows"]; \
 	  assert all(r["set_equal_vs_first"] for r in rows), rows; \
-	  assert {"static","steal"} == {r["schedule"] for r in rows}, rows; \
 	  assert all("steals" in r and "predicted_cost_corr" in r for r in rows), rows; \
-	  print("bench-smoke ok:", len(rows), "rows, all schedules set-equal")'
+	  print("bench-smoke ok:", len(rows), "rows, all job counts set-equal")'
 
 # Pruning-on/off ratios on one benchmark (jython, NullDeref + alias
 # pairs); writes the machine-readable artefact next to the repo root.

@@ -17,13 +17,7 @@ module Table = Pts_util.Table
 module Pipeline = Pts_clients.Pipeline
 module Client = Pts_clients.Client
 
-let clients =
-  [
-    ("safecast", ("SafeCast", Pts_clients.Safecast.queries));
-    ("nullderef", ("NullDeref", Pts_clients.Nullderef.queries));
-    ("factorym", ("FactoryM", Pts_clients.Factorym.queries));
-    ("devirt", ("Devirt", Pts_clients.Devirt.queries));
-  ]
+let clients = Pts_serve.Daemon.clients
 
 (* ----------------------------- arguments ---------------------------- *)
 
@@ -114,16 +108,6 @@ let jobs_arg ~doc =
          ^ " $(docv) is a positive integer, or $(b,auto) for the host's recommended domain \
             count — e.g. $(b,--jobs auto)."))
 
-let schedule_arg =
-  Arg.(
-    value
-    & opt (enum [ ("steal", Parsolve.Steal); ("static", Parsolve.Static) ]) Parsolve.Steal
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Parallel batch scheduling policy: $(b,steal) (per-domain work-stealing deques seeded \
-           longest-first by the cost model; default) or $(b,static) (fixed round-robin shards — \
-           the A/B baseline). Answers are identical either way.")
-
 (* One shared sink per invocation: a [--trace FILE] JSONL writer, or null. *)
 let with_trace trace f =
   let sink =
@@ -138,40 +122,38 @@ let with_trace trace f =
   in
   Fun.protect ~finally:(fun () -> Trace.close sink) (fun () -> f sink)
 
-(* each row is an engine plus an optional client label — [compare] runs
-   fresh engines per client, so the label is what keeps rows apart *)
-let metrics_json rows =
+(* One [ptsto.metrics/1] object for every command: a list of engine rows
+   plus, for a [Parsolve] batch, the batch fields. Each row is an engine
+   plus an optional client label — [compare] runs fresh engines per
+   client, so the label is what keeps rows apart. *)
+let engine_json ?client ~name ~steps ~summaries ~base:(base_hits, base_misses, base_evictions, base_size)
+    stats =
   let open Trace.Json in
-  let get e k = Pts_util.Stats.get e.Engine.stats k in
+  let get k = Pts_util.Stats.get stats k in
   Obj
-    [
-      ("schema", String "ptsto.metrics/1");
-      ( "engines",
-        List
-          (List.map
-             (fun (client, (e : Engine.engine)) ->
-               let base_hits, base_misses, base_evictions, base_size = e.Engine.cache_health () in
-               Obj
-                 ((match client with None -> [] | Some c -> [ ("client", String c) ])
-                 @ [
-                   ("engine", String e.Engine.name);
-                   ("steps", Int (Budget.total_steps e.Engine.budget));
-                   ("queries", Int (get e "queries"));
-                   ("summary_hits", Int (get e "summary_hits"));
-                   ("summary_misses", Int (get e "summary_misses"));
-                   ("summaries", Int (e.Engine.summary_count ()));
-                   ("base_hits", Int base_hits);
-                   ("base_misses", Int base_misses);
-                   ("base_evictions", Int base_evictions);
-                   ("base_size", Int base_size);
-                   ( "counters",
-                     Obj (List.map (fun (k, v) -> (k, Int v)) (Pts_util.Stats.to_list e.Engine.stats))
-                   );
-                 ]))
-             rows) );
-    ]
+    ((match client with None -> [] | Some c -> [ ("client", String c) ])
+    @ [
+        ("engine", String name);
+        ("steps", Int steps);
+        ("queries", Int (get "queries"));
+        ("summary_hits", Int (get "summary_hits"));
+        ("summary_misses", Int (get "summary_misses"));
+        ("summaries", Int summaries);
+        ("base_hits", Int base_hits);
+        ("base_misses", Int base_misses);
+        ("base_evictions", Int base_evictions);
+        ("base_size", Int base_size);
+        ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) (Pts_util.Stats.to_list stats)));
+      ])
 
-let print_metrics rows = print_endline (Trace.Json.to_string (metrics_json rows))
+let engine_row (client, (e : Engine.engine)) =
+  engine_json ?client ~name:e.Engine.name ~steps:(Budget.total_steps e.Engine.budget)
+    ~summaries:(e.Engine.summary_count ()) ~base:(e.Engine.cache_health ()) e.Engine.stats
+
+let print_metrics ?(batch = []) rows =
+  let open Trace.Json in
+  print_endline
+    (to_string (Obj ([ ("schema", String "ptsto.metrics/1"); ("engines", List rows) ] @ batch)))
 
 (* ------------------------------ commands ---------------------------- *)
 
@@ -242,57 +224,69 @@ let query_cmd lang file bench meth var engine_name budget prune trace metrics =
                   Printf.printf "  %-24s allocated in %s (line %d)\n" (Ir.alloc_name prog site)
                     prog.Ir.methods.(a.Ir.alloc_meth).Ir.pretty a.Ir.alloc_pos.Loc.line)
                 (Query.sites ts));
-            if metrics then print_metrics [ (None, engine) ]))
+            if metrics then print_metrics [ engine_row (None, engine) ]))
 
-(* --jobs/--rounds: the Parsolve batch path. Distinct from the sequential
-   path below because the trace plumbing differs (a shared mutex-guarded
-   writer instead of one sink) and per-domain reports replace the single
-   engine's counters. *)
-let client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-    rounds schedule =
+(* The batch goes through [Client.answer], the call the serve daemon's
+   [query] requests make too. With [--cache], a DYNSUM run reads the saved
+   summaries through its tier and writes them back together with the
+   ones it derived. *)
+let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
+    rounds =
   with_pipeline ?lang file bench (fun pl ->
+      let pag = pl.Pipeline.pag in
       let cname, queries_of = List.assoc client_key clients in
-      if cache_file <> None then
-        Printf.eprintf "warning: --cache is ignored in parallel batch mode\n";
       let conf = Engine.conf ~budget_limit:budget ~prune () in
-      let writer = Option.map Trace.writer_to_file trace in
-      let queries = queries_of pl in
-      let qarr =
-        Array.of_list
-          (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
+      let cache =
+        match cache_file with
+        | Some path when engine_name = "dynsum" ->
+          let empty = Dynsum.snapshot_union [] in
+          let loaded =
+            if not (Sys.file_exists path) then empty
+            else
+              match Dynsum.load_snapshot pag path with
+              | Ok s ->
+                Printf.printf "loaded %d summaries from %s\n" (Dynsum.snapshot_length s) path;
+                s
+              | Error e ->
+                Printf.printf "ignoring cache %s: %s\n" path e;
+                empty
+          in
+          let tier = Dynsum.base_create () in
+          ignore (Dynsum.base_add tier loaded);
+          Some (path, loaded, tier)
+        | Some _ ->
+          Printf.eprintf "warning: --cache only applies to the dynsum engine\n";
+          None
+        | None -> None
       in
-      let r =
-        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ~schedule ~engine:engine_name
-          pl.Pipeline.pag qarr
+      let writer =
+        match trace with
+        | None -> None
+        | Some path -> (
+          match Trace.writer_to_file path with
+          | w -> Some w
+          | exception Sys_error msg ->
+            Printf.eprintf "error: cannot open trace file: %s\n" msg;
+            exit 1)
+      in
+      let verdicts, r =
+        Client.answer ~conf ?trace_writer:writer ~jobs ~rounds
+          ?base:(Option.map (fun (_, _, tier) -> tier) cache)
+          ~engine:engine_name pag (queries_of pl)
       in
       Option.iter Trace.writer_close writer;
-      let verdicts =
-        List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
-      in
-      let tally =
-        List.fold_left
-          (fun t (_, v) ->
-            match v with
-            | Client.Proved -> { t with Client.proved = t.Client.proved + 1 }
-            | Client.Refuted -> { t with Client.refuted = t.Client.refuted + 1 }
-            | Client.Unknown -> { t with Client.unknown = t.Client.unknown + 1 })
-          { Client.proved = 0; refuted = 0; unknown = 0 }
-          verdicts
-      in
-      Printf.printf
-        "%s with %s: %d queries in %.3fs (%d jobs, %d rounds, %s schedule, %d steals, %d unique \
-         summaries)\n"
-        cname engine_name (Array.length qarr) r.Parsolve.wall_seconds r.Parsolve.jobs
-        r.Parsolve.rounds
-        (Parsolve.schedule_name r.Parsolve.schedule)
-        r.Parsolve.steals r.Parsolve.unique_summaries;
-      Format.printf "  %a@." Client.pp_tally tally;
-      List.iter
-        (fun d ->
-          Printf.printf "  round %d domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
-            d.Parsolve.dr_round d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps
-            d.Parsolve.dr_seconds d.Parsolve.dr_summaries d.Parsolve.dr_steals)
-        r.Parsolve.reports;
+      let steps = Array.fold_left ( + ) 0 r.Parsolve.actual_steps in
+      Printf.printf "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d rounds, %d steals)\n"
+        cname engine_name (List.length verdicts) r.Parsolve.wall_seconds steps r.Parsolve.jobs
+        r.Parsolve.rounds r.Parsolve.steals;
+      Format.printf "  %a@." Client.pp_tally (Client.tally_of verdicts);
+      if List.length r.Parsolve.reports > 1 then
+        List.iter
+          (fun d ->
+            Printf.printf "  round %d domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
+              d.Parsolve.dr_round d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps
+              d.Parsolve.dr_seconds d.Parsolve.dr_summaries d.Parsolve.dr_steals)
+          r.Parsolve.reports;
       List.iter
         (fun (q, v) ->
           match v with
@@ -302,108 +296,34 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
         verdicts;
       if vjson then
         print_endline (Trace.Json.to_string (Client.verdicts_json ~client:cname verdicts));
-      if metrics then
+      Option.iter
+        (fun (path, loaded, _) ->
+          let pool = Dynsum.snapshot_union [ loaded; Lazy.force r.Parsolve.summaries ] in
+          Dynsum.save_snapshot pag pool path;
+          Printf.printf "saved %d summaries to %s\n" (Dynsum.snapshot_length pool) path)
+        cache;
+      if metrics then begin
         let open Trace.Json in
-        print_endline
-          (to_string
-             (Obj
-                [
-                  ("schema", String "ptsto.parallel-metrics/2");
-                  ("engine", String engine_name);
-                  ("jobs", Int r.Parsolve.jobs);
-                  ("recommended_domains", Int (Domain.recommended_domain_count ()));
-                  ("rounds", Int r.Parsolve.rounds);
-                  ("schedule", String (Parsolve.schedule_name r.Parsolve.schedule));
-                  ("queries", Int (Array.length qarr));
-                  ("wall_seconds", Float r.Parsolve.wall_seconds);
-                  ("steals", Int r.Parsolve.steals);
-                  ("predicted_cost_corr", Float r.Parsolve.cost_corr);
-                  ("merged_summaries", Int r.Parsolve.merged_summaries);
-                  ("unique_summaries", Int r.Parsolve.unique_summaries);
-                  ("base_hits", Int r.Parsolve.base_hits);
-                  ("base_misses", Int r.Parsolve.base_misses);
-                  ("base_evictions", Int r.Parsolve.base_evictions);
-                  ("base_size", Int r.Parsolve.base_size);
-                  ( "domains",
-                    List
-                      (List.map
-                         (fun d ->
-                           Obj
-                             [
-                               ("round", Int d.Parsolve.dr_round);
-                               ("domain", Int d.Parsolve.dr_domain);
-                               ("queries", Int d.Parsolve.dr_queries);
-                               ("steps", Int d.Parsolve.dr_steps);
-                               ("seconds", Float d.Parsolve.dr_seconds);
-                               ("summaries", Int d.Parsolve.dr_summaries);
-                               ("steals", Int d.Parsolve.dr_steals);
-                             ])
-                         r.Parsolve.reports) );
-                  ( "counters",
-                    Obj (List.map (fun (k, v) -> (k, Int v)) (Pts_util.Stats.to_list r.Parsolve.stats))
-                  );
-                ])))
-
-let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-    rounds schedule =
-  if jobs <> 1 || rounds <> 1 then
-    client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-      rounds schedule
-  else
-  with_pipeline ?lang file bench (fun pl ->
-      with_trace trace (fun sink ->
-          let cname, queries_of = List.assoc client_key clients in
-          let conf = Engine.conf ~budget_limit:budget ~prune () in
-          (* with --cache, a DYNSUM session persists its summaries across runs *)
-          let dynsum_session =
-            match cache_file with
-            | Some path when engine_name = "dynsum" ->
-              let d = Dynsum.create ~conf ~trace:sink pl.Pipeline.pag in
-              (if Sys.file_exists path then
-                 match Dynsum.load_cache d path with
-                 | Ok n -> Printf.printf "loaded %d summaries from %s\n" n path
-                 | Error e -> Printf.printf "ignoring cache %s: %s\n" path e);
-              Some (d, path)
-            | Some _ ->
-              Printf.eprintf "warning: --cache only applies to the dynsum engine\n";
-              None
-            | None -> None
-          in
-          let engine =
-            match dynsum_session with
-            | Some (d, _) -> Engine.dynsum d
-            | None -> Engine.create ~conf ~trace:sink engine_name pl.Pipeline.pag
-          in
-          let queries = queries_of pl in
-          let r = Client.run engine queries in
-          Printf.printf "%s with %s: %d queries in %.3fs (%d steps)\n" cname engine.Engine.name
-            (List.length queries) r.Client.seconds r.Client.steps;
-          Format.printf "  %a@." Client.pp_tally r.Client.tally;
-          (* list refuted/unknown queries for actionability (the re-query
-             is answered from warm summaries) *)
-          let verdicts =
-            List.map
-              (fun q ->
-                ( q,
-                  Client.verdict_of q.Client.q_pred
-                    (engine.Engine.points_to ~satisfy:q.Client.q_pred q.Client.q_node) ))
-              queries
-          in
-          List.iter
-            (fun (q, v) ->
-              match v with
-              | Client.Refuted -> Printf.printf "  REFUTED %s\n" q.Client.q_desc
-              | Client.Unknown -> Printf.printf "  UNKNOWN %s\n" q.Client.q_desc
-              | Client.Proved -> ())
-            verdicts;
-          if vjson then
-            print_endline (Trace.Json.to_string (Client.verdicts_json ~client:cname verdicts));
-          (match dynsum_session with
-          | Some (d, path) ->
-            Dynsum.save_cache d path;
-            Printf.printf "saved %d summaries to %s\n" (Dynsum.summary_count d) path
-          | None -> ());
-          if metrics then print_metrics [ (None, engine) ]))
+        let row =
+          engine_json ~name:engine_name ~steps
+            ~summaries:(List.fold_left (fun a d -> a + d.Parsolve.dr_summaries) 0 r.Parsolve.reports)
+            ~base:(r.Parsolve.base_hits, r.Parsolve.base_misses, r.Parsolve.base_evictions, r.Parsolve.base_size)
+            r.Parsolve.stats
+        in
+        print_metrics [ row ]
+          ~batch:
+            [
+              ("jobs", Int r.Parsolve.jobs);
+              ("recommended_domains", Int (Domain.recommended_domain_count ()));
+              ("rounds", Int r.Parsolve.rounds);
+              ("wall_seconds", Float r.Parsolve.wall_seconds);
+              ("steals", Int r.Parsolve.steals);
+              ("predicted_cost_corr", Float r.Parsolve.cost_corr);
+              ("merged_summaries", Int r.Parsolve.merged_summaries);
+              ("unique_summaries", Int r.Parsolve.unique_summaries);
+              ("domains", Parsolve.reports_json r);
+            ]
+      end)
 
 let compare_cmd lang file bench budget prune trace metrics =
   with_pipeline ?lang file bench (fun pl ->
@@ -445,7 +365,7 @@ let compare_cmd lang file bench budget prune trace metrics =
           Table.add_sep t)
         clients;
       Table.print t;
-      if metrics then print_metrics (List.rev !used)))
+      if metrics then print_metrics (List.map engine_row (List.rev !used))))
 
 let alias_cmd lang file bench meth var1 var2 engine_name budget prune =
   with_pipeline ?lang file bench (fun pl ->
@@ -516,7 +436,7 @@ let run_cmd lang file bench engine_name budget prune metrics =
       List.iter
         (fun rw -> Format.printf "  rewrote %a@." Devirtopt.pp_rewrite rw)
         dv.Devirtopt.dv_rewrites;
-      if metrics then print_metrics (List.rev !used))
+      if metrics then print_metrics (List.map engine_row (List.rev !used)))
 
 let dot_cmd lang file bench what out =
   with_pipeline ?lang file bench (fun pl ->
@@ -557,7 +477,7 @@ let check_source file bench tflows tclean tkill tweak =
     exit 2
 
 let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget prune jobs
-    rounds schedule fail_on report_json metrics =
+    rounds fail_on report_json metrics =
   let module Check = Pts_clients.Check in
   let module Diag = Pts_clients.Diag in
   let source = check_source file bench tflows tclean tkill tweak in
@@ -593,7 +513,6 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
       o_conf = conf;
       o_jobs = jobs;
       o_rounds = rounds;
-      o_schedule = schedule;
       o_base = None;
     }
   in
@@ -667,7 +586,7 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
    newline-delimited JSON requests forever. Responses are the only thing
    written to stdout (the banner goes to stderr), so
    [printf ... | ptsto serve --bench jack] is scriptable as-is. *)
-let serve_cmd lang file bench budget max_budget jobs rounds schedule base_capacity queue_capacity
+let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_capacity
     max_cost pipeline socket trace =
   let module Daemon = Pts_serve.Daemon in
   let source = check_source file bench 0 0 0 0 in
@@ -687,7 +606,6 @@ let serve_cmd lang file bench budget max_budget jobs rounds schedule base_capaci
         {
           Daemon.c_jobs = jobs;
           c_rounds = rounds;
-          c_schedule = schedule;
           c_budget = budget;
           c_max_budget = max_budget;
           c_base_capacity = base_capacity;
@@ -801,13 +719,12 @@ let client_t =
     Arg.(
       value & opt (some string) None
       & info [ "cache" ] ~docv:"FILE"
-          ~doc:"Persist the dynsum summary cache across runs (load before, save after).")
+          ~doc:
+            "Persist the dynsum summaries across runs: load $(docv) into the batch's summary tier \
+             before, save the loaded plus the derived summaries after (at any $(b,--jobs)).")
   in
   let jobs =
-    jobs_arg
-      ~doc:
-        "Answer the query batch on $(docv) worker domains over the shared frozen PAG (parallel \
-         batch mode when > 1)."
+    jobs_arg ~doc:"Answer the query batch on $(docv) worker domains over the shared frozen PAG."
   in
   let rounds =
     Arg.(
@@ -828,7 +745,7 @@ let client_t =
   Cmd.v (Cmd.info "client" ~doc:"Run a client's query set")
     Term.(
       const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg $ prune_arg
-      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds $ schedule_arg)
+      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"All engines on all clients")
@@ -968,8 +885,7 @@ let check_t =
   Cmd.v (Cmd.info "check" ~doc:"Run the demand-driven checkers and report diagnostics")
     Term.(
       const check_cmd $ lang_arg $ file_arg $ bench_arg $ taint_flows $ taint_clean $ taint_kill
-      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ schedule_arg
-      $ fail_on $ report_json $ metrics_arg)
+      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ fail_on $ report_json $ metrics_arg)
 
 let serve_t =
   let jobs = jobs_arg ~doc:"Answer each request's query batch on $(docv) worker domains." in
@@ -1031,7 +947,7 @@ let serve_t =
           (query/check/edit/stats/shutdown) with a persistent cross-request summary tier")
     Term.(
       const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs $ rounds
-      $ schedule_arg $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
+      $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
 
 let run_t =
   Cmd.v

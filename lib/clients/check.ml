@@ -47,7 +47,6 @@ type opts = {
   o_conf : Conf.t;
   o_jobs : int;
   o_rounds : int;
-  o_schedule : Parsolve.schedule;
   o_base : Dynsum.base option;
 }
 
@@ -57,7 +56,6 @@ let default_opts =
     o_conf = Conf.default;
     o_jobs = 1;
     o_rounds = 1;
-    o_schedule = Parsolve.Steal;
     o_base = None;
   }
 
@@ -107,7 +105,7 @@ let run ?(opts = default_opts) ~checkers pl =
             let qs = Array.map (fun n -> Parsolve.query n) nodes in
             let res =
               Parsolve.run ~conf:opts.o_conf ~jobs:opts.o_jobs ~rounds:opts.o_rounds
-                ~schedule:opts.o_schedule ?base:opts.o_base ~engine:opts.o_engine pag qs
+                ?base:opts.o_base ~engine:opts.o_engine pag qs
             in
             Stats.merge_into ~into:stats res.Parsolve.stats;
             res.Parsolve.outcomes

@@ -19,19 +19,23 @@ let verdict_of pred = function
   | Query.Exceeded -> Unknown
   | Query.Resolved ts -> if pred ts then Proved else Refuted
 
+let count acc = function
+  | Proved -> { acc with proved = acc.proved + 1 }
+  | Refuted -> { acc with refuted = acc.refuted + 1 }
+  | Unknown -> { acc with unknown = acc.unknown + 1 }
+
+let zero = { proved = 0; refuted = 0; unknown = 0 }
+
+let tally_of verdicts = List.fold_left (fun acc (_, v) -> count acc v) zero verdicts
+
 let run (engine : Engine.engine) queries =
   let steps_before = Budget.total_steps engine.Engine.budget in
   let tally, seconds =
     Pts_util.Stats.time (fun () ->
         List.fold_left
           (fun acc q ->
-            let outcome = engine.Engine.points_to ~satisfy:q.q_pred q.q_node in
-            match verdict_of q.q_pred outcome with
-            | Proved -> { acc with proved = acc.proved + 1 }
-            | Refuted -> { acc with refuted = acc.refuted + 1 }
-            | Unknown -> { acc with unknown = acc.unknown + 1 })
-          { proved = 0; refuted = 0; unknown = 0 }
-          queries)
+            count acc (verdict_of q.q_pred (engine.Engine.points_to ~satisfy:q.q_pred q.q_node)))
+          zero queries)
   in
   {
     tally;
@@ -39,6 +43,13 @@ let run (engine : Engine.engine) queries =
     steps = Budget.total_steps engine.Engine.budget - steps_before;
     summaries_after = engine.Engine.summary_count ();
   }
+
+let answer ?conf ?trace_writer ?jobs ?rounds ?base ~engine pag queries =
+  let qarr =
+    Array.of_list (List.map (fun q -> Parsolve.query ~satisfy:q.q_pred q.q_node) queries)
+  in
+  let r = Parsolve.run ?conf ?trace_writer ?jobs ?rounds ?base ~engine pag qarr in
+  (List.mapi (fun i q -> (q, verdict_of q.q_pred r.Parsolve.outcomes.(i))) queries, r)
 
 let run_batches engine queries ~batches =
   if batches <= 0 then invalid_arg "Client.run_batches";

@@ -39,6 +39,25 @@ val run_batches : Engine.engine -> query list -> batches:int -> run_result list
 
 val verdict_of : (Query.Target_set.t -> bool) -> Query.outcome -> verdict
 
+val tally_of : (query * verdict) list -> tally
+
+val answer :
+  ?conf:Conf.t ->
+  ?trace_writer:Trace.writer ->
+  ?jobs:int ->
+  ?rounds:int ->
+  ?base:Dynsum.base ->
+  engine:string ->
+  Pag.t ->
+  query list ->
+  (query * verdict) list * Parsolve.result
+(** The one query-to-verdict path: answer the queries (each with its
+    predicate as [satisfy]) in one {!Parsolve.run} batch and pair every
+    query with its verdict, in input order. [ptsto client] and the serve
+    daemon's [query] requests both answer through this, so their
+    verdicts agree by construction. Optional arguments as in
+    {!Parsolve.run}. *)
+
 val pp_tally : Format.formatter -> tally -> unit
 
 val verdicts_json : client:string -> (query * verdict) list -> Trace.Json.t

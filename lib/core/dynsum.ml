@@ -317,34 +317,36 @@ let base_health t =
   | None -> (0, 0, 0, 0)
   | Some b -> (base_hits b, base_misses b, base_evictions b, base_length b)
 
-let save_cache t path =
+let save_snapshot pag (s : snapshot) path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Marshal.to_channel oc
-        (magic, fingerprint t.pag, Pag.graph_hash t.pag, Pag.epoch t.pag, snapshot t)
-        [])
+      Marshal.to_channel oc (magic, fingerprint pag, Pag.graph_hash pag, Pag.epoch pag, s) [])
 
-let load_cache t path =
+let save_cache t path = save_snapshot t.pag (snapshot t) path
+
+let load_snapshot pag path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match (Marshal.from_channel ic : string * 'a * int * int * entry_image list) with
+        match (Marshal.from_channel ic : string * 'a * int * int * snapshot) with
         | exception _ -> Error "corrupt cache file"
         | file_magic, fp, ghash, _epoch, images ->
           if file_magic <> magic then Error "not a dynsum cache file"
-          else if fp <> fingerprint t.pag then Error "cache was built for a different PAG"
-          else if ghash <> Pag.graph_hash t.pag then
+          else if fp <> fingerprint pag then Error "cache was built for a different PAG"
+          else if ghash <> Pag.graph_hash pag then
             (* counts can collide across different edge sets (e.g. one
                assign deleted, another inserted); the order-independent
                edge-multiset hash cannot, so a cache from a drifted build
                of the same program is refused here *)
             Error "cache was built for a different version of this PAG"
-          else absorb_images t images)
+          else Ok images)
+
+let load_cache t path = Result.bind (load_snapshot t.pag path) (absorb_images t)
 
 (* Summary lookup with the paper's fast path: a node without local edges
    needs no PPTA — its only continuation is itself as a frontier tuple. *)

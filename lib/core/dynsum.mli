@@ -185,6 +185,16 @@ val load_cache : t -> string -> (int, string) result
     mutate the live cache: the payload is decoded and validated in full
     before any entry is committed. *)
 
+val save_snapshot : Pag.t -> snapshot -> string -> unit
+(** Write a snapshot in the {!save_cache} format, fingerprinted against
+    the given PAG — how a batch run that never held one engine persists
+    its merged pool. @raise Sys_error on IO failure. *)
+
+val load_snapshot : Pag.t -> string -> (snapshot, string) result
+(** Read a {!save_cache}/{!save_snapshot} file without absorbing it —
+    e.g. to seed a {!base} tier with {!base_add}. Same refusals as
+    {!load_cache}. *)
+
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["cache_hits"] (=

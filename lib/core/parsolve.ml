@@ -5,15 +5,6 @@ type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 
 let query ?satisfy node = { node; satisfy }
 
-type schedule = Static | Steal
-
-let schedule_name = function Static -> "static" | Steal -> "steal"
-
-let schedule_of_string = function
-  | "static" -> Some Static
-  | "steal" -> Some Steal
-  | _ -> None
-
 type domain_report = {
   dr_round : int;
   dr_domain : int;
@@ -31,14 +22,13 @@ type result = {
   wall_seconds : float;
   jobs : int;
   rounds : int;
-  schedule : schedule;
   steals : int;
   predicted_steps : int array;
   actual_steps : int array;
   cost_corr : float;
   merged_summaries : int;
   unique_summaries : int;
-  summaries : Dynsum.snapshot;
+  summaries : Dynsum.snapshot Lazy.t;
   base_hits : int;
   base_misses : int;
   base_evictions : int;
@@ -50,8 +40,12 @@ type result = {
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
    {e worker's} store and must be rebased before the main domain may use
-   them as keys (see {!Pts_util.Hstack.rebase}); [wr_snapshot] is already
-   structural and travels freely. *)
+   them as keys (see {!Pts_util.Hstack.rebase}). [wr_dynsum] is the
+   worker's DYNSUM engine, kept so its summaries can be snapshotted on the
+   main domain after the join — only when a tier or the merged pool needs
+   them ({!Dynsum.snapshot} reads stacks with the pure
+   {!Pts_util.Hstack.to_list}, which is safe on a foreign domain's
+   stacks). *)
 type worker_result = {
   wr_outcomes : (int * Query.outcome * int) list; (* index, outcome, steps *)
   wr_stats : Stats.t;
@@ -59,7 +53,7 @@ type worker_result = {
   wr_seconds : float;
   wr_summaries : int;
   wr_steals : int;
-  wr_snapshot : Dynsum.snapshot option;
+  wr_dynsum : Dynsum.t option;
 }
 
 (* DYNSUM is special-cased by registry name: the uniform [Engine.engine]
@@ -87,19 +81,13 @@ let rebase_outcome = function
              acc)
          ts Query.Target_set.empty)
 
-(* The two ways a worker obtains its tasks. [Fixed] is the legacy static
-   shard: a private list, no cross-domain traffic. [Deques] is the
-   work-stealing pool: the worker owns [w_deques.(w_self)] (ownership
-   transferred by the main domain across [Domain.spawn]) and steals from
-   the fullest peer once its own deque runs dry. Tasks are only ever
-   seeded before the round starts, so "every deque empty" is a stable
-   termination condition — [Wsdeque.steal] returning [None] on a lost
-   race just sends the thief back to rescan. *)
-type feed =
-  | Fixed of (int * query) list
-  | Deques of { w_self : int; w_deques : (int * query) Wsdeque.t array }
-
-let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed () =
+(* A worker owns [deques.(self)] (ownership transferred by the main
+   domain across [Domain.spawn]) and steals from the fullest peer once its
+   own deque runs dry. Tasks are only ever seeded before the round
+   starts, so "every deque empty" is a stable termination condition —
+   [Wsdeque.steal] returning [None] on a lost race just sends the thief
+   back to rescan. *)
+let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
   let trace = Option.map Trace.buffered_jsonl trace_writer in
   let eng, dyn = build_engine ~conf ~trace engine_name pag in
   (match dyn, base with Some d, Some b -> Dynsum.set_base d b | _ -> ());
@@ -110,54 +98,45 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed () =
     let o = eng.Engine.points_to ?satisfy:q.satisfy q.node in
     outs := (i, o, Budget.total_steps eng.Engine.budget - before) :: !outs
   in
-  let (), seconds =
-    Stats.time (fun () ->
-        match feed with
-        | Fixed items -> List.iter run_task items
-        | Deques { w_self; w_deques } ->
-          let jobs = Array.length w_deques in
-          let rec drain () =
-            match Wsdeque.pop w_deques.(w_self) with
-            | Some t ->
-              run_task t;
-              drain ()
-            | None -> scavenge ()
-          and scavenge () =
-            (* own deque dry: raid the fullest peer (FIFO end, i.e. its
-               cheapest remaining task under longest-first seeding) *)
-            let victim = ref (-1) and depth = ref 0 in
-            for d = 0 to jobs - 1 do
-              if d <> w_self then begin
-                let s = Wsdeque.size w_deques.(d) in
-                if s > !depth then begin
-                  victim := d;
-                  depth := s
-                end
-              end
-            done;
-            if !victim >= 0 then begin
-              (match trace with
-              | Some s ->
-                Trace.emit s
-                  (Trace.Queue_depth { engine = engine_name; domain = !victim; depth = !depth })
-              | None -> ());
-              match Wsdeque.steal w_deques.(!victim) with
-              | Some t ->
-                incr steals;
-                (match trace with
-                | Some s ->
-                  Trace.emit s
-                    (Trace.Steal { engine = engine_name; thief = w_self; victim = !victim })
-                | None -> ());
-                run_task t;
-                drain ()
-              | None -> scavenge () (* lost the race; someone made progress *)
-            end
-            (* else: every deque empty — in-flight tasks belong to their
-               takers, nothing left for us *)
-          in
-          drain ())
+  let jobs = Array.length deques in
+  let rec drain () =
+    match Wsdeque.pop deques.(self) with
+    | Some t ->
+      run_task t;
+      drain ()
+    | None -> scavenge ()
+  and scavenge () =
+    (* own deque dry: raid the fullest peer (FIFO end, i.e. its cheapest
+       remaining task under longest-first seeding) *)
+    let victim = ref (-1) and depth = ref 0 in
+    for d = 0 to jobs - 1 do
+      if d <> self then begin
+        let s = Wsdeque.size deques.(d) in
+        if s > !depth then begin
+          victim := d;
+          depth := s
+        end
+      end
+    done;
+    if !victim >= 0 then begin
+      (match trace with
+      | Some s ->
+        Trace.emit s (Trace.Queue_depth { engine = engine_name; domain = !victim; depth = !depth })
+      | None -> ());
+      match Wsdeque.steal deques.(!victim) with
+      | Some t ->
+        incr steals;
+        (match trace with
+        | Some s -> Trace.emit s (Trace.Steal { engine = engine_name; thief = self; victim = !victim })
+        | None -> ());
+        run_task t;
+        drain ()
+      | None -> scavenge () (* lost the race; someone made progress *)
+    end
+    (* else: every deque empty — in-flight tasks belong to their takers,
+       nothing left for us *)
   in
+  let (), seconds = Stats.time drain in
   (match trace with Some s -> Trace.close s | None -> ());
   {
     wr_outcomes = !outs;
@@ -167,11 +146,11 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed () =
     wr_summaries =
       (match dyn with Some d -> Dynsum.new_summary_count d | None -> eng.Engine.summary_count ());
     wr_steals = !steals;
-    wr_snapshot = Option.map Dynsum.snapshot dyn;
+    wr_dynsum = dyn;
   }
 
-let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedule = Steal) ?base
-    ~engine:engine_name pag queries =
+let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~engine:engine_name pag
+    queries =
   if jobs < 1 then invalid_arg "Parsolve.run: jobs must be >= 1";
   if rounds < 1 then invalid_arg "Parsolve.run: rounds must be >= 1";
   (match Engine.find engine_name with
@@ -184,11 +163,11 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
      overlay, if any, is only written by [Pag.apply_edits] between
      batches — never concurrently with a run. [packed] raises before
      [freeze], turning a data race on the build side into an immediate
-     error. By default the shared base tier below lives within this one
-     call, so an edit between calls can never feed it a stale summary; a
-     caller passing [?base] owns that invariant instead — the serve
-     daemon keeps one tier across requests and runs
-     [Dynsum.base_invalidate] on every edit commit. *)
+     error. A per-call tier below lives within this one call, so an edit
+     between calls can never feed it a stale summary; a caller passing
+     [?base] owns that invariant instead — the serve daemon keeps one
+     tier across requests and runs [Dynsum.base_invalidate] on every edit
+     commit. *)
   ignore (Pag.packed pag);
   let n = Array.length queries in
   let outcomes = Array.make n Query.Exceeded in
@@ -198,72 +177,65 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
   let actual_steps = Array.make n 0 in
   let agg_stats = Stats.create () in
   let reports = ref [] in
-  (* Shared summary tiers. [base] holds every summary any domain has
-     computed in a {e finished} round, read by reference from all workers
-     of later rounds (grown only here, between joins). [all_snaps]
-     remembers each per-round snapshot for the final merged pool and the
-     recomputation accounting. *)
-  let base =
-    match base with
-    | Some _ as b -> if engine_name = "dynsum" then b else None
-    | None -> if engine_name = "dynsum" then Some (Dynsum.base_create ()) else None
+  let rounds = min rounds (max n 1) in
+  (* The summary tier every worker reads through: the caller's, or — only
+     when a later round can read it — a per-call one. It grows only here,
+     between joins. *)
+  let tier =
+    if engine_name <> "dynsum" then None
+    else
+      match base with
+      | Some _ -> base
+      | None -> if rounds > 1 then Some (Dynsum.base_create ()) else None
   in
-  let all_snaps = ref [] in
+  (* one lazy snapshot per (round, domain) DYNSUM worker, forced only to
+     publish into the tier or to build the merged pool *)
+  let snaps = ref [] in
   let produced = ref 0 in
   let total_steals = ref 0 in
-  let rounds = min rounds (max n 1) in
   let (), wall_seconds =
     Stats.time (fun () ->
         for round = 0 to rounds - 1 do
           (* consecutive index chunk per round (batch arrival order) *)
           let lo = round * n / rounds and hi = (round + 1) * n / rounds in
-          let feeds =
-            match schedule with
-            | Static ->
-              (* legacy shard: round-robin by index within the round *)
-              let shards = Array.make jobs [] in
-              for i = hi - 1 downto lo do
-                let d = (i - lo) mod jobs in
-                shards.(d) <- (i, queries.(i)) :: shards.(d)
-              done;
-              Array.map (fun items -> Fixed items) shards
-            | Steal ->
-              (* cost-model seeding: deal the round's queries round-robin
-                 in descending predicted cost, and push each deque's share
-                 cheapest-first so the owner pops expensive-first while
-                 thieves lift the cheap end — stragglers start earliest
-                 and migrate last *)
-              let order = Array.init (hi - lo) (fun k -> lo + k) in
-              Array.sort
-                (fun i j ->
-                  match compare predicted_steps.(j) predicted_steps.(i) with
-                  | 0 -> compare i j
-                  | c -> c)
-                order;
-              let shares = Array.make jobs [] in
-              Array.iteri
-                (fun k i -> shares.(k mod jobs) <- (i, queries.(i)) :: shares.(k mod jobs))
-                order;
-              let deques =
-                Array.map
-                  (fun share ->
-                    let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
-                    List.iter (fun t -> Wsdeque.push dq t) share;
-                    dq)
-                  shares
-              in
-              Array.init jobs (fun d -> Deques { w_self = d; w_deques = deques })
+          (* cost-model seeding: deal the round's queries round-robin in
+             descending predicted cost, and push each deque's share
+             cheapest-first so the owner pops expensive-first while
+             thieves lift the cheap end — stragglers start earliest and
+             migrate last *)
+          let order = Array.init (hi - lo) (fun k -> lo + k) in
+          Array.sort
+            (fun i j ->
+              match compare predicted_steps.(j) predicted_steps.(i) with
+              | 0 -> compare i j
+              | c -> c)
+            order;
+          let shares = Array.make jobs [] in
+          Array.iteri
+            (fun k i -> shares.(k mod jobs) <- (i, queries.(i)) :: shares.(k mod jobs))
+            order;
+          let deques =
+            Array.map
+              (fun share ->
+                let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
+                List.iter (fun t -> Wsdeque.push dq t) share;
+                dq)
+              shares
           in
-          let work d = run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed:feeds.(d) in
-          let results =
-            if jobs = 1 then [| work 0 () |]
-            else Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d)))
+          let work self = run_worker ~conf ~trace_writer ~engine_name ~pag ~base:tier ~deques ~self in
+          (* one worker runs inline on this domain: its stacks are already
+             interned here, so only spawned workers' outcomes are rebased *)
+          let results, rebase =
+            if jobs = 1 then ([| work 0 () |], Fun.id)
+            else
+              ( Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d))),
+                rebase_outcome )
           in
           Array.iteri
             (fun d wr ->
               List.iter
                 (fun (i, o, steps) ->
-                  outcomes.(i) <- rebase_outcome o;
+                  outcomes.(i) <- rebase o;
                   actual_steps.(i) <- steps)
                 wr.wr_outcomes;
               Stats.merge_into ~into:agg_stats wr.wr_stats;
@@ -278,24 +250,26 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
                   dr_summaries = wr.wr_summaries;
                   dr_steals = wr.wr_steals;
                 }
-                :: !reports)
-            results;
-          Array.iter
-            (fun wr ->
-              match wr.wr_snapshot with
+                :: !reports;
+              match wr.wr_dynsum with
               | None -> ()
-              | Some s ->
-                produced := !produced + Dynsum.snapshot_length s;
-                all_snaps := s :: !all_snaps;
-                match base with Some b -> ignore (Dynsum.base_add b s) | None -> ())
+              | Some dyn ->
+                let snap = lazy (Dynsum.snapshot dyn) in
+                produced := !produced + wr.wr_summaries;
+                snaps := snap :: !snaps;
+                Option.iter (fun b -> ignore (Dynsum.base_add b (Lazy.force snap))) tier)
             results
         done)
   in
   if !total_steals > 0 then Stats.add agg_stats "steals" !total_steals;
-  let summaries = Dynsum.snapshot_union (List.rev !all_snaps) in
+  let summaries = lazy (Dynsum.snapshot_union (List.rev_map Lazy.force !snaps)) in
+  (* a lone worker derived every summary exactly once: no union needed *)
+  let unique_summaries =
+    match !snaps with [ _ ] -> !produced | _ -> Dynsum.snapshot_length (Lazy.force summaries)
+  in
   let to_float a = Array.map float_of_int a in
   let base_hits, base_misses, base_evictions, base_size =
-    match base with
+    match tier with
     | None -> (0, 0, 0, 0)
     | Some b -> (Dynsum.base_hits b, Dynsum.base_misses b, Dynsum.base_evictions b, Dynsum.base_length b)
   in
@@ -306,16 +280,32 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
     wall_seconds;
     jobs;
     rounds;
-    schedule;
     steals = !total_steals;
     predicted_steps;
     actual_steps;
     cost_corr = Costmodel.pearson (to_float predicted_steps) (to_float actual_steps);
     merged_summaries = !produced;
-    unique_summaries = Dynsum.snapshot_length summaries;
+    unique_summaries;
     summaries;
     base_hits;
     base_misses;
     base_evictions;
     base_size;
   }
+
+let reports_json r =
+  let open Trace.Json in
+  List
+    (List.map
+       (fun d ->
+         Obj
+           [
+             ("round", Int d.dr_round);
+             ("domain", Int d.dr_domain);
+             ("queries", Int d.dr_queries);
+             ("steps", Int d.dr_steps);
+             ("seconds", Float d.dr_seconds);
+             ("summaries", Int d.dr_summaries);
+             ("steals", Int d.dr_steals);
+           ])
+       r.reports)

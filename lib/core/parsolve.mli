@@ -7,31 +7,36 @@
     deques and the summary base tier are the only things the domains
     share.
 
-    {b Scheduling.} Two policies, A/B-able via [?schedule]:
+    {b Scheduling.} One {!Wsdeque} per domain, seeded longest-first by
+    the {!Costmodel} prediction (oracle row size of the query root), so
+    predicted stragglers start immediately; a domain that runs dry steals
+    the cheapest remaining task from the fullest peer. Wall-clock tracks
+    total work instead of the worst shard. Each query is answered
+    {e exactly once} by {e some} single-domain engine, so the verdicts
+    are those of a sequential run — scheduling moves work, never changes
+    it (pinned by the jobs 1/2/4 set-equality tests).
 
-    - {!Static} — the legacy shard: queries round-robined by index, each
-      domain works its fixed list. Wall-clock tracks the slowest shard.
-    - {!Steal} (default) — one {!Wsdeque} per domain, seeded longest-first
-      by the {!Costmodel} prediction (oracle row size of the query root),
-      so predicted stragglers start immediately; a domain that runs dry
-      steals the cheapest remaining task from the fullest peer. Wall-clock
-      tracks total work instead of the worst shard.
-
-    Either way each query is answered {e exactly once} by {e some}
-    single-domain engine, so the verdicts are those of a sequential run —
-    scheduling moves work, never changes it (pinned by the cross-jobs ×
-    cross-schedule set-equality tests).
+    This is the one batch executor: [ptsto client] at every [--jobs],
+    [ptsto check] and the serve daemon all answer through it. At
+    [jobs = 1] the single worker runs inline on the calling domain.
 
     {b Summary reuse.} For DYNSUM, summaries computed in round [k] are
     published to later rounds through a shared read-only base tier
     ({!Dynsum.base}): after all workers of a round join, their structural
     {!Dynsum.snapshot}s are merged into the base, which round [k+1]'s
-    engines consult by reference on cache miss — no more re-absorbing
-    (and re-counting) the whole pool into every domain. Merging cannot
-    change answers: a PPTA summary is context-independent, so a summary
-    computed under one domain's query mix is valid under any other's
-    (see DESIGN.md, "Work-stealing, the cost model, and the summary base
+    engines consult by reference on cache miss. Merging cannot change
+    answers: a PPTA summary is context-independent, so a summary computed
+    under one domain's query mix is valid under any other's (see
+    DESIGN.md, "Work-stealing, the cost model, and the summary base
     tier").
+
+    {b Cross-domain work only when read.} A per-call tier is built only
+    when [rounds > 1]; worker snapshots are taken only to publish into a
+    tier or to count unique keys across more than one worker; the merged
+    {!field-summaries} pool is built only when forced; outcomes are
+    rebased only for spawned domains. A single-worker run without
+    [?base] therefore publishes nothing: it costs what a plain engine
+    loop costs.
 
     Hash-consed stacks never cross domains raw: snapshots carry symbol
     lists, and worker outcomes are {!Pts_util.Hstack.rebase}d into the
@@ -40,11 +45,6 @@
 type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 
 val query : ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> query
-
-type schedule = Static | Steal
-
-val schedule_name : schedule -> string
-val schedule_of_string : string -> schedule option
 
 type domain_report = {
   dr_round : int;
@@ -69,7 +69,6 @@ type result = {
   wall_seconds : float;  (** whole batch, including spawn/join/merge *)
   jobs : int;
   rounds : int;
-  schedule : schedule;
   steals : int;  (** total successful steals across all rounds *)
   predicted_steps : int array;  (** {!Costmodel.predict} per query, input order *)
   actual_steps : int array;  (** kernel steps each query actually charged *)
@@ -81,13 +80,17 @@ type result = {
           rounds (0 for other engines); minus {!field-unique_summaries}
           this is the cross-domain recomputation the base tier exists to
           kill *)
-  unique_summaries : int;  (** distinct summary keys in the final pool *)
-  summaries : Dynsum.snapshot;
-      (** the final merged pool — absorb into a fresh engine to persist *)
+  unique_summaries : int;
+      (** distinct summary keys in the final pool; at one worker, equal to
+          {!field-merged_summaries} without building the pool *)
+  summaries : Dynsum.snapshot Lazy.t;
+      (** the final merged pool, built when forced — absorb into a fresh
+          engine (or {!Dynsum.save_snapshot}) to persist *)
   base_hits : int;
       (** base-tier lookup hits; for a caller-supplied [?base] these are
           its {e lifetime} tallies (delta across the call is the caller's
-          to take), for the internal tier they are per-run *)
+          to take), for the per-call tier they are per-run, and all four
+          [base_*] fields are 0 when no tier was built *)
   base_misses : int;
   base_evictions : int;
   base_size : int;  (** resident entries when the run finished *)
@@ -98,7 +101,6 @@ val run :
   ?trace_writer:Trace.writer ->
   ?jobs:int ->
   ?rounds:int ->
-  ?schedule:schedule ->
   ?base:Dynsum.base ->
   engine:string ->
   Pag.t ->
@@ -106,18 +108,16 @@ val run :
   result
 (** [run ~engine pag queries] answers the batch and returns outcomes
     positionally. [jobs] defaults to 1 (inline, no spawn — the sequential
-    baseline; with {!Steal} the deque machinery still runs, which is what
-    the smoke benches measure as scheduler overhead). [rounds] (default 1)
-    splits the batch into consecutive chunks with a base-tier publish
-    between chunks, so DYNSUM summaries learned early help later rounds
-    even across domains. [schedule] defaults to {!Steal}. When
+    path). [rounds] (default 1) splits the batch into consecutive chunks
+    with a base-tier publish between chunks, so DYNSUM summaries learned
+    early help later rounds even across domains. When
     [trace_writer] is given, every worker traces through its own
     {!Trace.buffered_jsonl} sink onto the shared writer — whole lines
     only — including per-steal {!Trace.Steal} and queue-depth events.
 
     [base] supplies an external (possibly size-bounded) summary tier to
-    read through and publish into, instead of the per-call tier built by
-    default; ignored for non-DYNSUM engines. The caller owns its
+    read through and publish into, instead of the per-call tier built
+    when [rounds > 1]; ignored for non-DYNSUM engines. The caller owns its
     freshness: the tier must describe the PAG as currently edited
     ({!Dynsum.base_invalidate} after every {!Pag.apply_edits}) and must
     not be touched while the run is in flight. The serve daemon uses
@@ -125,3 +125,8 @@ val run :
 
     @raise Invalid_argument on [jobs < 1], [rounds < 1], an unknown
     engine name, or an unfrozen PAG. *)
+
+val reports_json : result -> Trace.Json.t
+(** The per-(round, domain) {!field-reports} as a JSON list — the
+    ["domains"] field of [ptsto client --metrics-json] and of the
+    parallel bench rows. *)

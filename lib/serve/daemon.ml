@@ -18,7 +18,6 @@ let clients =
 type config = {
   c_jobs : int;
   c_rounds : int;
-  c_schedule : Parsolve.schedule;
   c_budget : int;
   c_max_budget : int;
   c_base_capacity : int;
@@ -31,7 +30,6 @@ let default_config =
   {
     c_jobs = 1;
     c_rounds = 1;
-    c_schedule = Parsolve.Steal;
     c_budget = Conf.default.Conf.budget_limit;
     c_max_budget = 0;
     c_base_capacity = 0;
@@ -147,18 +145,9 @@ let run_query t ~client ~engine ~prune ~budget =
     | None -> Error ("bad_request", Printf.sprintf "unknown client %S" client)
     | Some c -> Ok c
   in
-  let conf = Engine.conf ~budget_limit ~prune () in
-  let queries = queries_of t.pl in
-  let qarr =
-    Array.of_list
-      (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
-  in
-  let r =
-    Parsolve.run ~conf ~jobs:t.cfg.c_jobs ~rounds:t.cfg.c_rounds ~schedule:t.cfg.c_schedule
-      ~base:t.base ~engine t.pl.Pipeline.pag qarr
-  in
-  let verdicts =
-    List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
+  let verdicts, r =
+    Client.answer ~conf:(Engine.conf ~budget_limit ~prune ()) ~jobs:t.cfg.c_jobs
+      ~rounds:t.cfg.c_rounds ~base:t.base ~engine t.pl.Pipeline.pag (queries_of t.pl)
   in
   Ok
     [
@@ -191,7 +180,6 @@ let run_check t ~names ~engine ~prune ~budget =
       o_conf = Engine.conf ~budget_limit ~prune ();
       o_jobs = t.cfg.c_jobs;
       o_rounds = t.cfg.c_rounds;
-      o_schedule = t.cfg.c_schedule;
       o_base = Some t.base;
     }
   in

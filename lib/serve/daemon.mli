@@ -12,12 +12,13 @@
     Single-threaded by construction — one request executes at a time,
     and parallelism lives inside the engine ([c_jobs] worker domains per
     request), so responses are deterministic and byte-identical to the
-    one-shot CLI ([ptsto client --verdicts-json] / [ptsto check]). *)
+    one-shot CLI: a [query] request answers through {!Pts_clients.Client.answer},
+    the function behind [ptsto client --verdicts-json], and a [check]
+    request through {!Pts_clients.Check.run}, as [ptsto check] does. *)
 
 type config = {
   c_jobs : int;  (** {!Parsolve} worker domains per request *)
   c_rounds : int;
-  c_schedule : Parsolve.schedule;
   c_budget : int;  (** default per-query step budget *)
   c_max_budget : int;  (** per-request budget ceiling; 0 = no ceiling *)
   c_base_capacity : int;  (** cross-request tier entries; 0 = unbounded *)
@@ -27,7 +28,7 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, rounds 1, Steal, budget {!Conf.default}, no ceilings,
+(** jobs 1, rounds 1, budget {!Conf.default}, no ceilings,
     queue capacity 64, pipeline window 1. *)
 
 val clients : (string * (string * (Pts_clients.Pipeline.t -> Pts_clients.Client.query list))) list

@@ -37,21 +37,26 @@ let test_engine_jobs_equal engine_name () =
     List.map (fun q -> seq.Engine.points_to q.Client.q_node) (Lazy.force queries)
   in
   List.iter
-    (fun schedule ->
+    (fun with_base ->
       List.iter
         (fun jobs ->
-          let r =
-            Parsolve.run ~conf ~jobs ~schedule ~engine:engine_name pl.Pipeline.pag (qarr ())
-          in
+          let base = if with_base then Some (Dynsum.base_create ()) else None in
+          let r = Parsolve.run ~conf ~jobs ?base ~engine:engine_name pl.Pipeline.pag (qarr ()) in
           List.iteri
             (fun i expect ->
               if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
-                Alcotest.failf "%s: query %d differs from sequential at jobs=%d schedule=%s"
-                  engine_name i jobs
-                  (Parsolve.schedule_name schedule))
-            expected)
+                Alcotest.failf "%s: query %d differs from sequential at jobs=%d base=%b"
+                  engine_name i jobs with_base)
+            expected;
+          if jobs = 1 then begin
+            (* a lone worker publishes nothing, yet reports the same counts *)
+            Alcotest.(check int) "jobs=1: unique = merged" r.Parsolve.merged_summaries
+              r.Parsolve.unique_summaries;
+            Alcotest.(check int) "jobs=1: merged = pool length" r.Parsolve.merged_summaries
+              (Dynsum.snapshot_length (Lazy.force r.Parsolve.summaries))
+          end)
         [ 1; 2; 4 ])
-    [ Parsolve.Static; Parsolve.Steal ]
+    [ false; true ]
 
 let test_rounds_equal () =
   let pl = Lazy.force pl in
@@ -73,11 +78,7 @@ let test_rounds_equal () =
 let test_steal_accounting () =
   let pl = Lazy.force pl in
   let n = Array.length (qarr ()) in
-  let r =
-    Parsolve.run ~conf ~jobs:4 ~rounds:2 ~schedule:Parsolve.Steal ~engine:"dynsum"
-      pl.Pipeline.pag (qarr ())
-  in
-  Alcotest.(check string) "schedule recorded" "steal" (Parsolve.schedule_name r.Parsolve.schedule);
+  let r = Parsolve.run ~conf ~jobs:4 ~rounds:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
   Alcotest.(check int) "one prediction per query" n (Array.length r.Parsolve.predicted_steps);
   Alcotest.(check int) "one actual cost per query" n (Array.length r.Parsolve.actual_steps);
   Array.iter
@@ -96,17 +97,10 @@ let test_steal_accounting () =
     (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
   Alcotest.(check int) "final pool length matches the count"
     r.Parsolve.unique_summaries
-    (Dynsum.snapshot_length r.Parsolve.summaries);
+    (Dynsum.snapshot_length (Lazy.force r.Parsolve.summaries));
   let c = r.Parsolve.cost_corr in
   Alcotest.(check bool) "correlation in range or undefined" true
     (Float.is_nan c || (c >= -1.000001 && c <= 1.000001))
-
-let test_schedule_of_string () =
-  Alcotest.(check bool) "steal parses" true
-    (Parsolve.schedule_of_string "steal" = Some Parsolve.Steal);
-  Alcotest.(check bool) "static parses" true
-    (Parsolve.schedule_of_string "static" = Some Parsolve.Static);
-  Alcotest.(check bool) "garbage rejected" true (Parsolve.schedule_of_string "lifo" = None)
 
 (* --------------------- cache merging preserves answers -------------------- *)
 
@@ -143,18 +137,28 @@ let test_snapshot_union_is_idempotent () =
 
 (* ------------------ cache bytes are schedule-independent ------------------ *)
 
-(* Absorb a snapshot into a fresh engine and serialise its cache;
-   snapshots are sorted and base-tier memos are never exported, so the
-   bytes must not depend on how the batch was scheduled. *)
-let save_bytes snapshot =
-  let pl = Lazy.force pl in
-  let d = Dynsum.create ~conf pl.Pipeline.pag in
-  ignore (Dynsum.absorb d snapshot);
-  let path = Filename.temp_file "ptsto_cache" ".bin" in
-  Dynsum.save_cache d path;
+(* [ptsto client --cache] at any --jobs: load the file into the batch's
+   summary tier, run, save the loaded summaries plus the run's merged
+   pool. Snapshots are sorted and base-tier memos are never exported, so
+   the file bytes must not depend on the job count, nor on whether the
+   run started from a cache. *)
+let read_file path =
   let ic = open_in_bin path in
   let b = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  b
+
+let cached_run ~jobs path =
+  let pag = (Lazy.force pl).Pipeline.pag in
+  let loaded =
+    if Sys.file_exists path then Result.get_ok (Dynsum.load_snapshot pag path)
+    else Dynsum.snapshot_union []
+  in
+  let tier = Dynsum.base_create () in
+  ignore (Dynsum.base_add tier loaded);
+  let r = Parsolve.run ~conf ~jobs ~base:tier ~engine:"dynsum" pag (qarr ()) in
+  Dynsum.save_snapshot pag (Dynsum.snapshot_union [ loaded; Lazy.force r.Parsolve.summaries ]) path;
+  let b = read_file path in
   Sys.remove path;
   b
 
@@ -162,21 +166,34 @@ let test_cache_bytes_schedule_independent () =
   let pl = Lazy.force pl in
   let seqd = Dynsum.create ~conf pl.Pipeline.pag in
   List.iter (fun q -> ignore (Dynsum.points_to seqd q.Client.q_node)) (Lazy.force queries);
-  let seq_bytes = save_bytes (Dynsum.snapshot seqd) in
+  let path = Filename.temp_file "ptsto_cache" ".bin" in
+  Dynsum.save_cache seqd path;
+  let seq_bytes = read_file path in
+  Sys.remove path;
   Alcotest.(check bool) "sequential cache is non-trivial" true (String.length seq_bytes > 0);
+  let same what b =
+    Alcotest.(check int) (what ^ ": cache size matches sequential") (String.length seq_bytes)
+      (String.length b);
+    Alcotest.(check bool) (what ^ ": cache bytes identical to sequential") true
+      (String.equal seq_bytes b)
+  in
   List.iter
-    (fun schedule ->
-      let name = Parsolve.schedule_name schedule in
-      let r =
-        Parsolve.run ~conf ~jobs:2 ~rounds:2 ~schedule ~engine:"dynsum" pl.Pipeline.pag
-          (qarr ())
-      in
-      let b = save_bytes r.Parsolve.summaries in
-      Alcotest.(check int) (name ^ ": cache size matches sequential")
-        (String.length seq_bytes) (String.length b);
-      Alcotest.(check bool) (name ^ ": cache bytes identical to sequential") true
-        (String.equal seq_bytes b))
-    [ Parsolve.Static; Parsolve.Steal ]
+    (fun jobs ->
+      same (Printf.sprintf "jobs=%d cold" jobs) (cached_run ~jobs path);
+      (* warm: half the summaries come from the file, half are derived *)
+      let half = Dynsum.create ~conf pl.Pipeline.pag in
+      List.iteri
+        (fun i q -> if i mod 2 = 0 then ignore (Dynsum.points_to half q.Client.q_node))
+        (Lazy.force queries);
+      Dynsum.save_cache half path;
+      same (Printf.sprintf "jobs=%d warm" jobs) (cached_run ~jobs path))
+    [ 1; 2; 4 ];
+  (* a jobs=2 rounds=2 pool, saved without a file tier, matches too *)
+  let r = Parsolve.run ~conf ~jobs:2 ~rounds:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  Dynsum.save_snapshot pl.Pipeline.pag (Lazy.force r.Parsolve.summaries) path;
+  let b = read_file path in
+  Sys.remove path;
+  same "jobs=2 rounds=2" b
 
 (* ------------------------- trace line integrity --------------------------- *)
 
@@ -250,7 +267,6 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "steal accounting" `Quick test_steal_accounting;
-          Alcotest.test_case "schedule_of_string" `Quick test_schedule_of_string;
         ] );
       ( "snapshots",
         [

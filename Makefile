@@ -14,18 +14,26 @@ test:
 	$(DUNE) runtest
 
 # A real end-to-end run: generated benchmark -> pipeline -> DYNSUM ->
-# verdicts and metrics JSON on stdout (the last two lines). The python
-# step fails the target if the metrics blob is not valid JSON, lacks the
-# per-engine counters, or counts a different number of queries than the
-# verdicts of the same run.
+# verdicts and metrics JSON on stdout (the last two lines), plus the JSONL
+# trace. The python step fails the target if the metrics blob is not
+# valid JSON, lacks the per-engine counters, or counts a different number
+# of queries than the verdicts of the same run; and if the trace breaks
+# the query lifecycle: one query_start and one query_end per query, and
+# one budget_exceeded per unresolved end.
 smoke:
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --verdicts-json --metrics-json \
+	    --trace /tmp/ptsto_smoke_trace.jsonl \
 	  | tail -n 2 \
 	  | python3 -c 'import json,sys; v, m=[json.loads(l) for l in sys.stdin]; e=m["engines"][0]; \
 	    assert m["schema"].startswith("ptsto.metrics/"), m; \
 	    assert {"engine","steps","queries","summary_hits","summary_misses"} <= set(e), e; \
 	    assert e["queries"] == v["queries"], (e["queries"], v["queries"]); \
-	    print("smoke ok:", e["engine"], e["queries"], "queries,", e["steps"], "steps")'
+	    t=[json.loads(l) for l in open("/tmp/ptsto_smoke_trace.jsonl")]; \
+	    n=lambda k: sum(1 for x in t if x["ev"] == k); \
+	    assert n("query_start") == n("query_end") == v["queries"], (n("query_start"), n("query_end"), v["queries"]); \
+	    unresolved=sum(1 for x in t if x["ev"] == "query_end" and not x["resolved"]); \
+	    assert n("budget_exceeded") == unresolved, (n("budget_exceeded"), unresolved); \
+	    print("smoke ok:", e["engine"], e["queries"], "queries,", e["steps"], "steps,", len(t), "trace events")'
 
 # The same client on two worker domains over the shared frozen PAG,
 # validated via the batch fields of the same metrics schema (per-domain

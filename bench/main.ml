@@ -438,8 +438,7 @@ let figure5 () =
           let pag = pl.Pipeline.pag in
           let queries = queries_of pl in
           let stasum = Stasum.create ~conf:stasum_conf ~max_summaries:2_000_000 pag in
-          let dynsum = Dynsum.create pag in
-          let engine = Engine.dynsum dynsum in
+          let engine = Engine.create "dynsum" pag in
           let batches = Client.run_batches engine queries ~batches:10 in
           let total = float_of_int (Stasum.summary_count stasum) in
           let series =
@@ -451,7 +450,7 @@ let figure5 () =
           let final = List.nth series (List.length series - 1) in
           finals := final :: !finals;
           let point_pct =
-            float_of_int (Dynsum.summary_points dynsum)
+            float_of_int (Dynsum.summary_points (Option.get engine.Engine.summaries))
             /. Float.max 1.0 (float_of_int (Stasum.summary_points stasum))
           in
           Bm.add "figure5"
@@ -504,8 +503,7 @@ let ablation_cache () =
     (fun bname ->
       let pl = Suite.pipeline bname in
       let queries = Pts_clients.Nullderef.queries pl in
-      let on = Dynsum.create pl.Pipeline.pag in
-      let r_on = Client.run (Engine.dynsum on) queries in
+      let r_on = Client.run (Engine.create "dynsum" pl.Pipeline.pag) queries in
       let off = Dynsum.create pl.Pipeline.pag in
       let steps_off =
         List.fold_left
@@ -569,8 +567,7 @@ let ablation_field_limits () =
   List.iter
     (fun repeat ->
       let conf = Engine.conf ~max_field_repeat:repeat () in
-      let dynsum = Dynsum.create ~conf pl.Pipeline.pag in
-      let r = Client.run (Engine.dynsum dynsum) queries in
+      let r = Client.run (Engine.create ~conf "dynsum" pl.Pipeline.pag) queries in
       Table.add_row t
         [
           string_of_int repeat;
@@ -634,8 +631,7 @@ let ablation_callgraph () =
       let prog = pl.Pipeline.prog in
       let cha_pag, cha_cg = Cha.build prog in
       let run pag =
-        let dynsum = Dynsum.create pag in
-        let r = Client.run (Engine.dynsum dynsum) (Pts_clients.Safecast.queries pl) in
+        let r = Client.run (Engine.create "dynsum" pag) (Pts_clients.Safecast.queries pl) in
         r.Client.tally.Client.proved
       in
       Table.add_row t

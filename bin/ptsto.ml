@@ -148,7 +148,9 @@ let engine_json ?client ~name ~steps ~summaries ~base:(base_hits, base_misses, b
 
 let engine_row (client, (e : Engine.engine)) =
   engine_json ?client ~name:e.Engine.name ~steps:(Budget.total_steps e.Engine.budget)
-    ~summaries:(e.Engine.summary_count ()) ~base:(e.Engine.cache_health ()) e.Engine.stats
+    ~summaries:(e.Engine.summary_count ())
+    ~base:(Option.fold ~none:(0, 0, 0, 0) ~some:Dynsum.base_health e.Engine.summaries)
+    e.Engine.stats
 
 let print_metrics ?(batch = []) rows =
   let open Trace.Json in

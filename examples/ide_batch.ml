@@ -15,7 +15,7 @@ let () =
   let engines =
     [
       ("refinepts (per-query caching only)", List.nth (Pts_clients.Pipeline.engines pl) 1);
-      ("dynsum (summaries persist)", Engine.dynsum (Dynsum.create pl.Pts_clients.Pipeline.pag));
+      ("dynsum (summaries persist)", Engine.create "dynsum" pl.Pts_clients.Pipeline.pag);
     ]
   in
   List.iter

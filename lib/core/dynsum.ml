@@ -1,7 +1,4 @@
 module Hstack = Pts_util.Hstack
-module Stats = Pts_util.Stats
-
-module Cache_key = Kernel.Key
 module Cache = Kernel.Key_tbl
 
 (* Shared base tier: merged summaries of earlier rounds (and, in the
@@ -56,15 +53,10 @@ type base = {
 }
 
 type t = {
-  pag : Pag.t;
-  conf : Conf.t;
-  budget : Budget.t;
-  stats : Stats.t;
-  sink : Trace.sink;
-  cache : Ppta.summary Cache.t;
+  env : Kernel.env;
+  store : Ppta.store;
   key_stacks : Pts_util.Hstack.t Cache.t; (* key -> its field stack, for persistence *)
-  footprints : int list Cache.t; (* key -> PAG nodes its derivation visited *)
-  mutable base : base option; (* shared lower tier; overlay = cache above it *)
+  mutable base : base option; (* shared lower tier; overlay = store above it *)
 }
 
 let name = "dynsum"
@@ -75,36 +67,28 @@ let rename = function
   | Trace.Summary_miss _ -> Some "cache_misses"
   | _ -> None
 
-let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
-  let stats = Stats.create () in
+let create ?conf ?trace pag =
   {
-    pag;
-    conf;
-    budget = Budget.create ~limit:conf.Conf.budget_limit;
-    stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
-    cache = Cache.create 4096;
+    env = Kernel.env ~name ~rename ?conf ?trace pag;
+    store = Ppta.store ();
     key_stacks = Cache.create 4096;
-    footprints = Cache.create 4096;
     base = None;
   }
 
-let summary_count t = Cache.length t.cache
+let summary_count t = Cache.length t.store.summaries
 
 let new_summary_count t = Cache.length t.key_stacks
 
-let summary_points t =
-  let pts = Hashtbl.create 256 in
-  Cache.iter (fun (n, _f, s) _ -> Hashtbl.replace pts (n, s) ()) t.cache;
-  Hashtbl.length pts
+let summary_points t = Ppta.points t.store
 
 let clear_cache t =
-  Cache.reset t.cache;
+  Cache.reset t.store.summaries;
   Cache.reset t.key_stacks;
-  Cache.reset t.footprints
+  Cache.reset t.store.footprints
 
-let budget t = t.budget
-let stats t = t.stats
+let env t = t.env
+let budget t = t.env.Kernel.budget
+let stats t = t.env.Kernel.stats
 
 (* ------------------------- cache persistence ------------------------ *)
 
@@ -148,11 +132,11 @@ let snapshot t : snapshot =
             (fun (n, f, s) -> (n, Hstack.to_list f, Ppta.state_to_int s))
             summary.Ppta.tuples
         in
-        let fp = Option.value ~default:[] (Cache.find_opt t.footprints key) in
+        let fp = Option.value ~default:[] (Cache.find_opt t.store.footprints key) in
         images :=
           ((node, Hstack.to_list stack, state, summary.Ppta.objs, tuples, fp) : entry_image)
           :: !images)
-    t.cache;
+    t.store.summaries;
   List.sort compare !images
 
 let state_of_int = function 1 -> Ppta.S1 | _ -> Ppta.S2
@@ -182,11 +166,10 @@ let absorb_images t images =
     let n = ref 0 in
     List.iter
       (fun (key, stack, summary, fp) ->
-        if not (Cache.mem t.cache key) then begin
+        if not (Cache.mem t.store.summaries key) then begin
           incr n;
-          Cache.add t.cache key summary;
-          Cache.add t.key_stacks key stack;
-          Cache.add t.footprints key fp
+          Ppta.add t.store key summary fp;
+          Cache.replace t.key_stacks key stack
         end)
       staged;
     Ok !n
@@ -284,21 +267,14 @@ let base_compact_ring (b : base) =
   end
 
 let base_invalidate (b : base) dirty =
-  (* Same footprint discipline as the per-engine [invalidate] below: an
-     entry survives an edit burst iff its derivation never visited a
-     dirtied node. Runs on the owning thread between requests, never
-     concurrently with readers. *)
+  (* The per-engine store's footprint discipline ({!Ppta.stale}). Runs on
+     the owning thread between requests, never concurrently with
+     readers. *)
   let dirtyt = Hashtbl.create 64 in
   List.iter (fun d -> Hashtbl.replace dirtyt d ()) dirty;
   let doomed = ref [] in
   Base_tbl.iter
-    (fun key e ->
-      let dead =
-        match e.be_fp with
-        | [] -> true (* a real PPTA footprint at least holds the root *)
-        | fp -> List.exists (Hashtbl.mem dirtyt) fp
-      in
-      if dead then doomed := key :: !doomed)
+    (fun key e -> if Ppta.stale (Hashtbl.mem dirtyt) e.be_fp then doomed := key :: !doomed)
     b.b_tbl;
   List.iter (Base_tbl.remove b.b_tbl) !doomed;
   base_compact_ring b;
@@ -324,7 +300,7 @@ let save_snapshot pag (s : snapshot) path =
     (fun () ->
       Marshal.to_channel oc (magic, fingerprint pag, Pag.graph_hash pag, Pag.epoch pag, s) [])
 
-let save_cache t path = save_snapshot t.pag (snapshot t) path
+let save_cache t path = save_snapshot t.env.Kernel.pag (snapshot t) path
 
 let load_snapshot pag path =
   match open_in_bin path with
@@ -346,175 +322,62 @@ let load_snapshot pag path =
             Error "cache was built for a different version of this PAG"
           else Ok images)
 
-let load_cache t path = Result.bind (load_snapshot t.pag path) (absorb_images t)
+let load_cache t path = Result.bind (load_snapshot t.env.Kernel.pag path) (absorb_images t)
 
-(* Summary lookup with the paper's fast path: a node without local edges
-   needs no PPTA — its only continuation is itself as a frontier tuple. *)
-let summarise t u f s =
-  if not (Pag.has_local_edges t.pag u) then begin
-    Trace.emit t.sink (Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 });
-    { Ppta.objs = []; tuples = [ (u, f, s) ] }
-  end
-  else begin
-    let key = (u, Hstack.id f, Ppta.state_to_int s) in
-    match Cache.find_opt t.cache key with
-    | Some summary ->
-      Trace.emit t.sink (Trace.Summary_hit { engine = name; node = u });
-      summary
-    | None ->
-      (* Overlay miss: probe the shared base tier (structural key, so no
-         rebase needed) before paying for a PPTA run. A base hit is
-         memoised in the local cache but {e not} in [key_stacks], so the
-         next [snapshot] won't re-export a summary this engine merely
-         borrowed. *)
-      let from_base =
-        match t.base with
-        | None -> None
-        | Some b -> (
-          match Base_tbl.find_opt b.b_tbl (u, Hstack.to_list f, Ppta.state_to_int s) with
-          | Some e ->
-            e.be_ref <- true;
-            Atomic.incr b.b_hits;
-            Some e
-          | None ->
-            Atomic.incr b.b_misses;
-            Trace.emit t.sink (Trace.Counter { engine = name; name = "base_misses"; delta = 1 });
-            None)
-      in
-      (match from_base with
-      | Some ({ be_objs = objs; be_tuples = tuples; be_fp = fp; _ } as e) ->
-        Trace.emit t.sink (Trace.Summary_hit { engine = name; node = u });
-        Trace.emit t.sink (Trace.Counter { engine = name; name = "base_hits"; delta = 1 });
-        let did = (Domain.self () :> int) in
-        let summary =
-          match e.be_mat with
-          | Some (d, s) when d = did -> s
-          | _ ->
-            let s =
-              {
-                Ppta.objs;
-                tuples =
-                  List.map (fun (tn, tf, ts) -> (tn, Hstack.of_list tf, state_of_int ts)) tuples;
-              }
-            in
-            e.be_mat <- Some (did, s);
-            s
-        in
-        Cache.add t.cache key summary;
-        Cache.add t.footprints key fp;
-        summary
+(* A store miss: probe the shared base tier (structural key, so no
+   rebase needed) before paying for a PPTA run. A base hit is memoised in
+   the store but {e not} in [key_stacks], so the next [snapshot] won't
+   re-export a summary this engine merely borrowed. *)
+let miss t key u f s =
+  let sink = t.env.Kernel.sink in
+  let from_base =
+    match t.base with
+    | None -> None
+    | Some b -> (
+      match Base_tbl.find_opt b.b_tbl (u, Hstack.to_list f, Ppta.state_to_int s) with
+      | Some e ->
+        e.be_ref <- true;
+        Atomic.incr b.b_hits;
+        Some e
       | None ->
-        Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-        (* record which nodes the derivation visits: the entry stays
-           valid across an edit burst iff none of them got dirty *)
-        let seen = Hashtbl.create 32 in
-        let fp = ref [] in
-        let trace v _ _ =
-          if not (Hashtbl.mem seen v) then begin
-            Hashtbl.add seen v ();
-            fp := v :: !fp
-          end
+        Atomic.incr b.b_misses;
+        Trace.emit sink (Trace.Counter { engine = name; name = "base_misses"; delta = 1 });
+        None)
+  in
+  match from_base with
+  | Some ({ be_objs = objs; be_tuples = tuples; be_fp = fp; _ } as e) ->
+    Trace.emit sink (Trace.Summary_hit { engine = name; node = u });
+    Trace.emit sink (Trace.Counter { engine = name; name = "base_hits"; delta = 1 });
+    let did = (Domain.self () :> int) in
+    let summary =
+      match e.be_mat with
+      | Some (d, s) when d = did -> s
+      | _ ->
+        let s =
+          {
+            Ppta.objs;
+            tuples = List.map (fun (tn, tf, ts) -> (tn, Hstack.of_list tf, state_of_int ts)) tuples;
+          }
         in
-        let summary = Ppta.compute t.pag t.conf t.budget ~trace u f s in
-        Cache.add t.cache key summary;
-        Cache.add t.key_stacks key f;
-        Cache.add t.footprints key (List.sort compare !fp);
-        summary)
-  end
+        e.be_mat <- Some (did, s);
+        s
+    in
+    Ppta.add t.store key summary fp;
+    summary
+  | None ->
+    let summary = Ppta.derive_missing t.store t.env key u f s in
+    Cache.replace t.key_stacks key f;
+    summary
 
-(* ----------------------- targeted invalidation ---------------------- *)
-
-(* Drop exactly the entries whose derivation footprint meets the dirty
-   set. Sound because the local walk only ever reads adjacency at nodes
-   it visits, and an edit burst dirties both endpoints of every changed
-   edge — so an edge change that could alter a summary always lands on a
-   footprint node. Entries with no recorded footprint (none today, but a
-   future producer might skip tracing) are dropped conservatively. *)
 let invalidate t dirty =
-  let n = Pag.node_count t.pag in
-  let dirtyb = Bytes.make (max 1 n) '\000' in
-  List.iter (fun d -> if d >= 0 && d < n then Bytes.set dirtyb d '\001') dirty;
-  let doomed = ref [] in
-  Cache.iter
-    (fun key _ ->
-      let dead =
-        match Cache.find_opt t.footprints key with
-        | None | Some [] -> true (* a real PPTA footprint at least holds the root *)
-        | Some fp -> List.exists (fun v -> Bytes.get dirtyb v = '\001') fp
-      in
-      if dead then doomed := key :: !doomed)
-    t.cache;
-  List.iter
-    (fun key ->
-      Cache.remove t.cache key;
-      Cache.remove t.key_stacks key;
-      Cache.remove t.footprints key)
-    !doomed;
-  (List.length !doomed, Cache.length t.cache)
+  Ppta.invalidate ~on_drop:(Cache.remove t.key_stacks) t.store t.env.Kernel.pag dirty
 
-let expand t u f s =
-  let summary = summarise t u f s in
-  { Kernel.lr_objs = summary.Ppta.objs;
-    lr_match_objs = [];
-    lr_frontier = summary.Ppta.tuples;
-    lr_jumps = [] }
-
-(* [satisfy] early exit: the worklist's accumulated set grows towards the
-   answer from below, so the only sound early exit for an anti-monotone
-   predicate is refutation — once the partial set falsifies the predicate,
-   every superset (including the exact answer) does too. *)
-let stop_of_satisfy satisfy =
-  Option.map (fun pred -> fun acc -> not (pred acc)) satisfy
-
-(* Per-query pruner counters -> trace counters (and thence stats). *)
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
+let fastpath t () =
+  Trace.emit t.env.Kernel.sink
+    (Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 })
 
 let points_to_in t ?satisfy v c0 =
-  Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
-  Budget.start_query t.budget;
-  (* The pruner applies only to the inter-procedural worklist here — the
-     expander computes/reuses PPTA summaries, which must stay prune-free
-     so the cache is identical whichever way the flag is set. *)
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
-  let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      (* definite-negative fast path: nothing flows to the root at all *)
-      Trace.emit t.sink (Trace.Counter { engine = name; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Query.Resolved
-          (Kernel.solve ?stop:(stop_of_satisfy satisfy) ?prune t.pag t.budget (expand t) v c0)
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
-  in
-  flush_pruner t.sink name prune;
-  (match outcome with
-  | Query.Resolved ts ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = name;
-           node = v;
-           resolved = true;
-           targets = Query.Target_set.cardinal ts;
-           steps = Budget.steps_this_query t.budget;
-         })
-  | Query.Exceeded ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         { engine = name; node = v; resolved = false; targets = 0;
-           steps = Budget.steps_this_query t.budget }));
-  outcome
+  Kernel.run_query t.env v (fun prune ->
+      Ppta.solve ?satisfy ?prune ~fastpath:(fastpath t) ~miss:(miss t) t.store t.env v c0)
 
 let points_to t ?satisfy v = points_to_in t ?satisfy v Hstack.empty

@@ -14,13 +14,6 @@
     implementation note prescribes, nodes without local edges bypass the
     PPTA (and the cache) entirely. *)
 
-module Cache_key : sig
-  type t = int * int * int (** node, field-stack id, state *)
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
 type t
 
 val create : ?conf:Conf.t -> ?trace:Trace.sink -> Pag.t -> t
@@ -164,9 +157,8 @@ val set_base : t -> base -> unit
 
 val base_health : t -> int * int * int * int
 (** [(hits, misses, evictions, size)] of the attached base tier, all
-    zero when none is attached. Engines surface this through
-    [Engine.cache_health] so [--metrics-json] can report cache health
-    uniformly. *)
+    zero when none is attached; [--metrics-json] reports it for the
+    engine record's [summaries]. *)
 
 val new_summary_count : t -> int
 (** Summaries this engine computed itself (excludes base-tier memos) —
@@ -195,6 +187,7 @@ val load_snapshot : Pag.t -> string -> (snapshot, string) result
     e.g. to seed a {!base} tier with {!base_add}. Same refusals as
     {!load_cache}. *)
 
+val env : t -> Kernel.env
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["cache_hits"] (=

@@ -1,7 +1,3 @@
-(* Conf and the RRP context helpers moved below the engines (Conf, Kernel)
-   so this module can sit on top of them and own the registry; the type
-   equations keep external code compiling against the old names. *)
-
 type overflow = Conf.overflow = Abort | Widen
 
 type conf = Conf.t = {
@@ -15,9 +11,6 @@ type conf = Conf.t = {
 let default_conf = Conf.default
 let conf = Conf.make
 
-let push_ctx = Kernel.push_ctx
-let pop_ctx = Kernel.pop_ctx
-
 type points_to_fn = ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.outcome
 
 type engine = {
@@ -27,60 +20,19 @@ type engine = {
   stats : Pts_util.Stats.t;
   summary_count : unit -> int;
   invalidate : Pag.node list -> int * int;
-      (* drop cached summaries whose derivation touched a dirty node;
-         (dropped, retained). Engines without a cross-query summary cache
-         answer (0, 0) — their per-query state rebuilds itself (the
-         field-based index is epoch-checked internally). *)
-  cache_health : unit -> int * int * int * int;
-      (* (base_hits, base_misses, base_evictions, base_size) of the shared
-         summary tier this engine reads through, all zero when none is
-         attached (only DYNSUM ever attaches one). *)
+  summaries : Dynsum.t option;
 }
 
-(* --------------------------- constructors -------------------------- *)
-
-let sb ?(name = "sb") t =
+let make ?summaries ?(summary_count = fun () -> 0) ?(invalidate = fun _ -> (0, 0))
+    (env : Kernel.env) points_to =
   {
-    name;
-    points_to = (fun ?satisfy v -> Sb.points_to t ?satisfy v);
-    budget = Sb.budget t;
-    stats = Sb.stats t;
-    summary_count = (fun () -> 0);
-    invalidate = (fun _ -> (0, 0));
-    cache_health = (fun () -> (0, 0, 0, 0));
-  }
-
-let dynsum t =
-  {
-    name = "dynsum";
-    points_to = (fun ?satisfy v -> Dynsum.points_to t ?satisfy v);
-    budget = Dynsum.budget t;
-    stats = Dynsum.stats t;
-    summary_count = (fun () -> Dynsum.summary_count t);
-    invalidate = (fun dirty -> Dynsum.invalidate t dirty);
-    cache_health = (fun () -> Dynsum.base_health t);
-  }
-
-let stasum t =
-  {
-    name = "stasum";
-    points_to = (fun ?satisfy v -> Stasum.points_to t ?satisfy v);
-    budget = Stasum.budget t;
-    stats = Stasum.stats t;
-    summary_count = (fun () -> Stasum.summary_count t);
-    invalidate = (fun dirty -> Stasum.invalidate t dirty);
-    cache_health = (fun () -> (0, 0, 0, 0));
-  }
-
-let supa t =
-  {
-    name = "supa";
-    points_to = (fun ?satisfy v -> Supa.points_to t ?satisfy v);
-    budget = Supa.budget t;
-    stats = Supa.stats t;
-    summary_count = (fun () -> 0);
-    invalidate = (fun _ -> (0, 0));
-    cache_health = (fun () -> (0, 0, 0, 0));
+    name = env.name;
+    points_to;
+    budget = env.budget;
+    stats = env.stats;
+    summary_count;
+    invalidate;
+    summaries;
   }
 
 (* ----------------------------- registry ---------------------------- *)
@@ -94,27 +46,46 @@ let registry =
     {
       spec_name = "norefine";
       spec_doc = "Sridharan-Bodik, fully field-sensitive from the start, no refinement";
-      build = (fun ?conf ?trace pag -> sb ~name:"norefine" (Sb.create ?conf ?trace Sb.No_refine pag));
+      build =
+        (fun ?conf ?trace pag ->
+          let t = Sb.create ?conf ?trace Sb.No_refine pag in
+          make (Sb.env t) (Sb.points_to t));
     };
     {
       spec_name = "refinepts";
       spec_doc = "Sridharan-Bodik with iterative match-edge refinement";
-      build = (fun ?conf ?trace pag -> sb ~name:"refinepts" (Sb.create ?conf ?trace Sb.Refine pag));
+      build =
+        (fun ?conf ?trace pag ->
+          let t = Sb.create ?conf ?trace Sb.Refine pag in
+          make (Sb.env t) (Sb.points_to t));
     };
     {
       spec_name = "dynsum";
       spec_doc = "on-demand dynamic summaries (Algorithm 4, the paper's contribution)";
-      build = (fun ?conf ?trace pag -> dynsum (Dynsum.create ?conf ?trace pag));
+      build =
+        (fun ?conf ?trace pag ->
+          let t = Dynsum.create ?conf ?trace pag in
+          make ~summaries:t
+            ~summary_count:(fun () -> Dynsum.summary_count t)
+            ~invalidate:(Dynsum.invalidate t) (Dynsum.env t) (Dynsum.points_to t));
     };
     {
       spec_name = "stasum";
       spec_doc = "static whole-program summarisation baseline (eager offline phase)";
-      build = (fun ?conf ?trace pag -> stasum (Stasum.create ?conf ?trace pag));
+      build =
+        (fun ?conf ?trace pag ->
+          let t = Stasum.create ?conf ?trace pag in
+          make
+            ~summary_count:(fun () -> Stasum.summary_count t)
+            ~invalidate:(Stasum.invalidate t) (Stasum.env t) (Stasum.points_to t));
     };
     {
       spec_name = "supa";
       spec_doc = "flow-sensitive strong updates via value-flow refinement (Sui-Xue SUPA)";
-      build = (fun ?conf ?trace pag -> supa (Supa.create ?conf ?trace pag));
+      build =
+        (fun ?conf ?trace pag ->
+          let t = Supa.create ?conf ?trace pag in
+          make (Supa.env t) (Supa.points_to t));
     };
   ]
 

@@ -5,13 +5,8 @@
     bench harness — selects engines by name from the one {!registry}
     table instead of pattern-matching constructors.
 
-    For compatibility this module also re-exports the configuration
-    record (now {!Conf.t}, shared by everything below the engines) and the
-    RRP context helpers (now in {!Kernel}): the paper's Figure 3(b)
-    recursive state machine, including the recursion-collapsing rule of
-    §5.1 (entry/exit edges of a call site inside a call-graph cycle are
-    traversed context-insensitively) and the realizability rule that
-    allows an empty stack to pop (partially balanced paths). *)
+    This module also re-exports the configuration record ({!Conf.t},
+    shared by everything below the engines). *)
 
 type overflow = Conf.overflow =
   | Abort  (** overflow fails the query conservatively (paper behaviour) *)
@@ -38,16 +33,6 @@ val conf :
   ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> ?overflow:overflow ->
   ?prune:bool -> unit -> conf
 
-(** {2 Context stacks (call-site ids)} *)
-
-val push_ctx : Pag.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t
-(** Enter a method through call site [i] (no-op for recursive sites). *)
-
-val pop_ctx : Pag.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
-(** Leave a method through call site [i]: [None] when the path is
-    unrealizable (stack top differs from [i]); [Some] of the popped stack
-    when the top matches, the stack is empty, or the site is recursive. *)
-
 (** {2 The common engine interface} *)
 
 type points_to_fn = ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.outcome
@@ -70,19 +55,13 @@ type engine = {
           returns [(dropped, retained)]. [(0, 0)] for engines without a
           cross-query cache — their graph-derived state (the field-based
           index) re-solves itself on the next query via the PAG epoch. *)
-  cache_health : unit -> int * int * int * int;
-      (** [(base_hits, base_misses, base_evictions, base_size)] of the
-          shared summary tier this engine reads through
-          ({!Dynsum.base_health}); all zero for engines without one, so
-          [--metrics-json] can report cache health uniformly. *)
+  summaries : Dynsum.t option;
+      (** The DYNSUM instance behind the record, [None] for every other
+          engine: the one engine whose summaries outlive a query and can
+          read through, and publish into, a shared {!Dynsum.base} tier.
+          The batch scheduler attaches tiers and snapshots through it;
+          [--metrics-json] reads its {!Dynsum.base_health}. *)
 }
-
-(** {2 Wrapping a concrete engine} *)
-
-val sb : ?name:string -> Sb.t -> engine
-val dynsum : Dynsum.t -> engine
-val stasum : Stasum.t -> engine
-val supa : Supa.t -> engine
 
 (** {2 The registry} *)
 

@@ -74,9 +74,6 @@ let pruner pag ~root =
   if Pag.has_oracle pag then Some { pr_pag = pag; pr_root = root; pr_pruned = 0; pr_checked = 0 }
   else None
 
-let pruned_count pr = pr.pr_pruned
-let checked_count pr = pr.pr_checked
-
 let should_prune pr u f s =
   pr.pr_checked <- pr.pr_checked + 1;
   if Fstack.is_widened f then false
@@ -334,3 +331,59 @@ let solve ?stop ?prune pag budget (expand : expander) v c0 =
     end
   done;
   !results
+
+(* ------------------------- the query driver ------------------------- *)
+
+type env = {
+  name : string;
+  pag : Pag.t;
+  conf : Conf.t;
+  budget : Budget.t;
+  stats : Pts_util.Stats.t;
+  sink : Trace.sink;
+}
+
+let env ~name ?rename ?(conf = Conf.default) ?(trace = Trace.null) pag =
+  let stats = Pts_util.Stats.create () in
+  {
+    name;
+    pag;
+    conf;
+    budget = Budget.create ~limit:conf.Conf.budget_limit;
+    stats;
+    sink = Trace.tee (Trace.counting ?rename stats) trace;
+  }
+
+let run_query env v body =
+  let engine = env.name and sink = env.sink in
+  let counter name delta = Trace.emit sink (Trace.Counter { engine; name; delta }) in
+  Trace.emit sink (Trace.Query_start { engine; node = v });
+  Budget.start_query env.budget;
+  let prune = if env.conf.Conf.prune then pruner env.pag ~root:v else None in
+  let outcome =
+    if env.conf.Conf.prune && Pag.oracle_row_empty env.pag v then begin
+      (* definite-negative fast path: nothing flows to the root at all *)
+      counter "oracle_empty_root" 1;
+      Query.Resolved Query.Target_set.empty
+    end
+    else
+      match body prune with
+      | ts -> Query.Resolved ts
+      | exception Budget.Out_of_budget ->
+        Trace.emit sink
+          (Trace.Budget_exceeded { engine; node = v; steps = Budget.steps_this_query env.budget });
+        Query.Exceeded
+  in
+  Option.iter
+    (fun pr ->
+      if pr.pr_checked > 0 then counter "prune_checks" pr.pr_checked;
+      if pr.pr_pruned > 0 then counter "pruned_states" pr.pr_pruned)
+    prune;
+  let resolved, targets =
+    match outcome with
+    | Query.Resolved ts -> (true, Query.Target_set.cardinal ts)
+    | Query.Exceeded -> (false, 0)
+  in
+  let steps = Budget.steps_this_query env.budget in
+  Trace.emit sink (Trace.Query_end { engine; node = v; resolved; targets; steps });
+  outcome

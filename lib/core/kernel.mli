@@ -15,10 +15,13 @@
     - the {e global-edge worklist} of Algorithm 4 ({!solve}),
       parameterised by an {!type:expander} — the engine's local-edge
       strategy (a fresh walk, a summary cache, a static table…);
-    - budget charging and the visited/seen dedup sets for both.
+    - budget charging and the visited/seen dedup sets for both;
+    - the per-query lifecycle around them ({!run_query}): trace events,
+      budget reset, the Andersen pruner and its counters, and the
+      out-of-budget outcome.
 
-    Engines become thin strategy wrappers, and future sharding/batching/
-    parallelisation lands here once instead of four times. *)
+    Engines supply only a body that computes a target set: their
+    local-edge strategy. *)
 
 type state = S1 | S2
 (** RSM direction: [S1] traverses a flowsTo-path backwards, [S2] forwards
@@ -86,12 +89,6 @@ type pruner
 
 val pruner : Pag.t -> root:Pag.node -> pruner option
 (** [None] when the PAG has no oracle — pruning silently disabled. *)
-
-val pruned_count : pruner -> int
-(** States cut so far by this pruner. *)
-
-val checked_count : pruner -> int
-(** Oracle consultations so far by this pruner. *)
 
 (** {2 Context stacks (call-site ids)} *)
 
@@ -174,3 +171,41 @@ val solve :
     the answer from below, so early exit is only meaningful for
     anti-monotone client predicates in the {e refutation} direction —
     see {!Dynsum.points_to}. @raise Budget.Out_of_budget *)
+
+(** {2 The query driver} *)
+
+type env = {
+  name : string;  (** registry name, carried by every trace event *)
+  pag : Pag.t;
+  conf : Conf.t;
+  budget : Budget.t;  (** the per-query allowance {!run_query} resets *)
+  stats : Pts_util.Stats.t;
+  sink : Trace.sink;  (** counts into [stats], then forwards to the caller's trace *)
+}
+(** What every engine holds regardless of its local-edge strategy. *)
+
+val env :
+  name:string -> ?rename:(Trace.event -> string option) -> ?conf:Conf.t -> ?trace:Trace.sink ->
+  Pag.t -> env
+(** A fresh budget and counter table for one engine instance; [rename]
+    adds the engine's legacy counter names (see {!Trace.counting}). *)
+
+val run_query : env -> Pag.node -> (pruner option -> Query.Target_set.t) -> Query.outcome
+(** [run_query env v body] answers one demand query for root [v]; [body]
+    is the engine's solve, given the query's pruner ([None] unless
+    [conf.prune] and the PAG has an oracle). The event order is a
+    contract every engine shares:
+
+    + [Query_start], then the budget is reset for the query;
+    + with [conf.prune] and an empty oracle row at [v], the
+      ["oracle_empty_root"] counter and an empty [Resolved] answer,
+      without running [body];
+    + otherwise [body]; when it raises {!Budget.Out_of_budget}, a
+      [Budget_exceeded] event and [Exceeded];
+    + the pruner's ["prune_checks"] and ["pruned_states"] counters, each
+      only when non-zero;
+    + [Query_end], whose [steps] is {!Budget.steps_this_query}.
+
+    So every query emits exactly one [Query_start] and one [Query_end],
+    and only the pruner counters can sit between an unresolved end and
+    its [Budget_exceeded]. *)

@@ -40,32 +40,18 @@ type result = {
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
    {e worker's} store and must be rebased before the main domain may use
-   them as keys (see {!Pts_util.Hstack.rebase}). [wr_dynsum] is the
-   worker's DYNSUM engine, kept so its summaries can be snapshotted on the
-   main domain after the join — only when a tier or the merged pool needs
-   them ({!Dynsum.snapshot} reads stacks with the pure
+   them as keys (see {!Pts_util.Hstack.rebase}). [wr_engine] is kept for
+   its counters and, for DYNSUM, its summaries, which are snapshotted on
+   the main domain after the join — only when a tier or the merged pool
+   needs them ({!Dynsum.snapshot} reads stacks with the pure
    {!Pts_util.Hstack.to_list}, which is safe on a foreign domain's
    stacks). *)
 type worker_result = {
   wr_outcomes : (int * Query.outcome * int) list; (* index, outcome, steps *)
-  wr_stats : Stats.t;
-  wr_steps : int;
   wr_seconds : float;
-  wr_summaries : int;
   wr_steals : int;
-  wr_dynsum : Dynsum.t option;
+  wr_engine : Engine.engine;
 }
-
-(* DYNSUM is special-cased by registry name: the uniform [Engine.engine]
-   record hides the concrete engine, and the summary base/snapshot
-   protocol only exists for DYNSUM (STASUM's table is a pure function of
-   the PAG, the SB engines have no cross-query state). *)
-let build_engine ~conf ~trace name pag =
-  if name = "dynsum" then begin
-    let d = Dynsum.create ~conf ?trace pag in
-    (Engine.dynsum d, Some d)
-  end
-  else (Engine.create ~conf ?trace name pag, None)
 
 (* Re-intern every context stack of a worker-domain outcome in the
    calling domain's hash-cons store. [Target.compare] orders by stack id,
@@ -89,8 +75,8 @@ let rebase_outcome = function
    back to rescan. *)
 let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
   let trace = Option.map Trace.buffered_jsonl trace_writer in
-  let eng, dyn = build_engine ~conf ~trace engine_name pag in
-  (match dyn, base with Some d, Some b -> Dynsum.set_base d b | _ -> ());
+  let eng = Engine.create ~conf ?trace engine_name pag in
+  (match (eng.Engine.summaries, base) with Some d, Some b -> Dynsum.set_base d b | _ -> ());
   let outs = ref [] in
   let steals = ref 0 in
   let run_task (i, q) =
@@ -138,16 +124,7 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
   in
   let (), seconds = Stats.time drain in
   (match trace with Some s -> Trace.close s | None -> ());
-  {
-    wr_outcomes = !outs;
-    wr_stats = eng.Engine.stats;
-    wr_steps = Budget.total_steps eng.Engine.budget;
-    wr_seconds = seconds;
-    wr_summaries =
-      (match dyn with Some d -> Dynsum.new_summary_count d | None -> eng.Engine.summary_count ());
-    wr_steals = !steals;
-    wr_dynsum = dyn;
-  }
+  { wr_outcomes = !outs; wr_seconds = seconds; wr_steals = !steals; wr_engine = eng }
 
 let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~engine:engine_name pag
     queries =
@@ -178,15 +155,13 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~en
   let agg_stats = Stats.create () in
   let reports = ref [] in
   let rounds = min rounds (max n 1) in
-  (* The summary tier every worker reads through: the caller's, or — only
-     when a later round can read it — a per-call one. It grows only here,
-     between joins. *)
+  (* The summary tier every DYNSUM worker reads through: the caller's, or
+     — only when a later round can read it — a per-call one. It grows
+     only here, between joins; engines without summaries never see it. *)
   let tier =
-    if engine_name <> "dynsum" then None
-    else
-      match base with
-      | Some _ -> base
-      | None -> if rounds > 1 then Some (Dynsum.base_create ()) else None
+    match base with
+    | Some _ -> base
+    | None -> if rounds > 1 then Some (Dynsum.base_create ()) else None
   in
   (* one lazy snapshot per (round, domain) DYNSUM worker, forced only to
      publish into the tier or to build the merged pool *)
@@ -233,29 +208,37 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~en
           in
           Array.iteri
             (fun d wr ->
+              let eng = wr.wr_engine in
               List.iter
                 (fun (i, o, steps) ->
                   outcomes.(i) <- rebase o;
                   actual_steps.(i) <- steps)
                 wr.wr_outcomes;
-              Stats.merge_into ~into:agg_stats wr.wr_stats;
+              (* summaries this worker computed itself (base-tier memos
+                 excluded); for other engines, the engine's table size *)
+              let summaries =
+                match eng.Engine.summaries with
+                | Some dyn -> Dynsum.new_summary_count dyn
+                | None -> eng.Engine.summary_count ()
+              in
+              Stats.merge_into ~into:agg_stats eng.Engine.stats;
               total_steals := !total_steals + wr.wr_steals;
               reports :=
                 {
                   dr_round = round;
                   dr_domain = d;
                   dr_queries = List.length wr.wr_outcomes;
-                  dr_steps = wr.wr_steps;
+                  dr_steps = Budget.total_steps eng.Engine.budget;
                   dr_seconds = wr.wr_seconds;
-                  dr_summaries = wr.wr_summaries;
+                  dr_summaries = summaries;
                   dr_steals = wr.wr_steals;
                 }
                 :: !reports;
-              match wr.wr_dynsum with
+              match eng.Engine.summaries with
               | None -> ()
               | Some dyn ->
                 let snap = lazy (Dynsum.snapshot dyn) in
-                produced := !produced + wr.wr_summaries;
+                produced := !produced + summaries;
                 snaps := snap :: !snaps;
                 Option.iter (fun b -> ignore (Dynsum.base_add b (Lazy.force snap))) tier)
             results
@@ -268,10 +251,12 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~en
     match !snaps with [ _ ] -> !produced | _ -> Dynsum.snapshot_length (Lazy.force summaries)
   in
   let to_float a = Array.map float_of_int a in
+  (* a tier only reports when a DYNSUM worker (one snapshot each) read it *)
   let base_hits, base_misses, base_evictions, base_size =
-    match tier with
-    | None -> (0, 0, 0, 0)
-    | Some b -> (Dynsum.base_hits b, Dynsum.base_misses b, Dynsum.base_evictions b, Dynsum.base_length b)
+    match (tier, !snaps) with
+    | Some b, _ :: _ ->
+      (Dynsum.base_hits b, Dynsum.base_misses b, Dynsum.base_evictions b, Dynsum.base_length b)
+    | _ -> (0, 0, 0, 0)
   in
   {
     outcomes;

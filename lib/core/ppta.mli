@@ -28,8 +28,6 @@ type summary = {
   tuples : (int * Pts_util.Hstack.t * state) list; (** frontier states *)
 }
 
-val empty_summary : summary
-
 val compute :
   Pag.t -> Conf.t -> Budget.t -> ?trace:(int -> Pts_util.Hstack.t -> state -> unit) ->
   Pag.node -> Pts_util.Hstack.t -> state -> summary
@@ -38,3 +36,60 @@ val compute :
     on field-stack overflow), in which case the partial result must not be
     cached. [trace] observes each newly visited state (used by the Table 1
     walkthrough). *)
+
+(** {2 The footprinted summary store}
+
+    The cache DYNSUM fills on demand and STASUM fills offline: summaries
+    keyed by {!Kernel.Key}, each with its derivation footprint — the PAG
+    nodes its PPTA run visited. An entry stays valid across an edit burst
+    iff no footprint node got dirty: the local walk only reads adjacency
+    at nodes it visits, and an edit dirties both endpoints of every
+    changed edge. *)
+
+type store = {
+  summaries : summary Kernel.Key_tbl.t;
+  footprints : int list Kernel.Key_tbl.t;  (** key -> sorted visited nodes *)
+}
+
+val store : unit -> store
+
+val key : Pag.node -> Pts_util.Hstack.t -> state -> Kernel.Key.t
+
+val points : store -> int
+(** Distinct (node, direction) pairs the store covers. *)
+
+val add : store -> Kernel.Key.t -> summary -> int list -> unit
+(** Insert or replace an entry and its footprint. *)
+
+val derive :
+  Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary * int list
+(** {!compute} that also returns the run's footprint, sorted.
+    @raise Budget.Out_of_budget *)
+
+val derive_missing :
+  store -> Kernel.env -> Kernel.Key.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary
+(** The common miss: a [Summary_miss] event, then {!derive} on the
+    engine's budget, then {!add}. *)
+
+val stale : (int -> bool) -> int list -> bool
+(** [stale is_dirty fp]: does an entry with footprint [fp] die in a burst
+    dirtying the nodes [is_dirty] admits? An empty footprint always does. *)
+
+val invalidate : ?on_drop:(Kernel.Key.t -> unit) -> store -> Pag.t -> Pag.node list -> int * int
+(** Drop every {!stale} entry (a key without a footprint counts as empty);
+    [on_drop] sees each dropped key. Returns [(dropped, retained)]. *)
+
+val solve :
+  ?satisfy:(Query.Target_set.t -> bool) ->
+  ?prune:Kernel.pruner ->
+  ?fastpath:(unit -> unit) ->
+  miss:(Kernel.Key.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary) ->
+  store -> Kernel.env -> Pag.node -> Pts_util.Hstack.t -> Query.Target_set.t
+(** Algorithm 4 over the store: {!Kernel.solve} from [(v, ε, S1, c0)]
+    on the engine's budget, expanding each popped state by its summary. A
+    node without local edges bypasses the store (the paper's fast path,
+    announced through [fastpath]); a hit emits [Summary_hit]; a miss is
+    the engine's [miss]. [satisfy] exits early in the refutation
+    direction only (see {!Dynsum.points_to}). [prune] acts on the
+    worklist alone, so the store stays query-independent.
+    @raise Budget.Out_of_budget *)

@@ -1,16 +1,10 @@
 module Hstack = Pts_util.Hstack
-module Stats = Pts_util.Stats
 
 type mode = No_refine | Refine
 
 type t = {
-  pag : Pag.t;
+  env : Kernel.env;
   mode : mode;
-  ename : string; (* registry name, used in trace events *)
-  conf : Conf.t;
-  budget : Budget.t;
-  stats : Stats.t;
-  sink : Trace.sink;
   fb : Fieldbased.t; (* the field-based approximation match edges denote *)
 }
 
@@ -19,22 +13,12 @@ let rename = function
   | Trace.Summary_hit _ -> Some "memo_hits"
   | _ -> None
 
-let create ?(conf = Conf.default) ?(trace = Trace.null) mode pag =
-  let stats = Stats.create () in
-  {
-    pag;
-    mode;
-    ename = (match mode with No_refine -> "norefine" | Refine -> "refinepts");
-    conf;
-    budget = Budget.create ~limit:conf.Conf.budget_limit;
-    stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
-    fb = Fieldbased.create pag;
-  }
+let create ?conf ?trace mode pag =
+  let name = match mode with No_refine -> "norefine" | Refine -> "refinepts" in
+  { env = Kernel.env ~name ~rename ?conf ?trace pag; mode; fb = Fieldbased.create pag }
 
-let budget t = t.budget
-let stats t = t.stats
-let mode t = t.mode
+let env t = t.env
+let stats t = t.env.Kernel.stats
 
 (* A load edge [dst = base.f], the unit of refinement. *)
 module Load_edge = struct
@@ -47,113 +31,69 @@ end
 module Edge_tbl = Hashtbl.Make (Load_edge)
 module Memo = Kernel.Key_tbl
 
-(* One refinement pass: a kernel run whose policy treats exactly the load
-   edges in [flds_to_refine] field-sensitively and jumps the rest through
-   field-based match edges, recording them in [flds_seen].
-
-   Within the pass, local walks are memoised by (node, field stack,
-   direction) — the policy is fixed for the pass, so a walk's result is
-   too. This replaces the old nested formulation's "ad hoc caching within
-   a query" and is what {!Trace.Summary_hit} means for this engine. *)
-let run_pass t ?prune ~flds_to_refine ~flds_seen v =
-  let policy =
-    match t.mode with
-    | No_refine -> Kernel.exact_policy
-    | Refine ->
-      {
-        Kernel.exact = false;
-        refined = (fun ~dst ~fld ~base -> Edge_tbl.mem flds_to_refine (dst, fld, base));
-        note_match =
-          (fun ~dst ~fld ~base ->
-            let edge = (dst, fld, base) in
-            if not (Edge_tbl.mem flds_seen edge) then begin
-              Edge_tbl.add flds_seen edge ();
-              Trace.emit t.sink (Trace.Match_edge { engine = t.ename; fld })
-            end);
-        match_pts = (fun f -> Fieldbased.pts_of_field t.fb f);
-        match_flows = (fun f -> Fieldbased.flows_of_field t.fb f);
-      }
-  in
+(* One kernel run under a fixed policy. Within the pass, local walks are
+   memoised by (node, field stack, direction) — the policy is fixed for
+   the pass, so a walk's result is too. This replaces the old nested
+   formulation's "ad hoc caching within a query" and is what
+   {!Trace.Summary_hit} means for these engines. *)
+let pass ?prune ~policy (env : Kernel.env) budget v =
   let memo = Memo.create 256 in
   let expand u f s =
-    if not (Pag.has_local_edges t.pag u) then Kernel.frontier_only u f s
+    if not (Pag.has_local_edges env.pag u) then Kernel.frontier_only u f s
     else begin
       let key = (u, Hstack.id f, Kernel.state_to_int s) in
       match Memo.find_opt memo key with
       | Some r ->
-        Trace.emit t.sink (Trace.Summary_hit { engine = t.ename; node = u });
+        Trace.emit env.sink (Trace.Summary_hit { engine = env.name; node = u });
         r
       | None ->
-        Trace.emit t.sink (Trace.Summary_miss { engine = t.ename; node = u });
-        let r = Kernel.local_walk ?prune ~policy t.pag t.conf t.budget u f s in
+        Trace.emit env.sink (Trace.Summary_miss { engine = env.name; node = u });
+        let r = Kernel.local_walk ?prune ~policy env.pag env.conf budget u f s in
         Memo.add memo key r;
         r
     end
   in
-  Kernel.solve ?prune t.pag t.budget expand v Hstack.empty
+  Kernel.solve ?prune env.pag budget expand v Hstack.empty
 
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
+let exact_pass ?prune env budget v = pass ?prune ~policy:Kernel.exact_policy env budget v
+
+(* One refinement pass: the policy treats exactly the load edges in
+   [flds_to_refine] field-sensitively and jumps the rest through
+   field-based match edges, recording them in [flds_seen]. *)
+let refine_pass t ?prune ~flds_to_refine ~flds_seen v =
+  let policy =
+    {
+      Kernel.exact = false;
+      refined = (fun ~dst ~fld ~base -> Edge_tbl.mem flds_to_refine (dst, fld, base));
+      note_match =
+        (fun ~dst ~fld ~base ->
+          let edge = (dst, fld, base) in
+          if not (Edge_tbl.mem flds_seen edge) then begin
+            Edge_tbl.add flds_seen edge ();
+            Trace.emit t.env.sink (Trace.Match_edge { engine = t.env.name; fld })
+          end);
+      match_pts = (fun f -> Fieldbased.pts_of_field t.fb f);
+      match_flows = (fun f -> Fieldbased.flows_of_field t.fb f);
+    }
+  in
+  pass ?prune ~policy t.env t.env.budget v
 
 let points_to t ?satisfy v : Query.outcome =
-  Trace.emit t.sink (Trace.Query_start { engine = t.ename; node = v });
-  Budget.start_query t.budget;
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
-  let flds_to_refine = Edge_tbl.create 64 in
-  let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      (* definite-negative fast path: nothing flows to the root at all *)
-      Trace.emit t.sink
-        (Trace.Counter { engine = t.ename; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-    try
+  Kernel.run_query t.env v (fun prune ->
+      let flds_to_refine = Edge_tbl.create 64 in
       let rec iterate pass =
-        Trace.emit t.sink (Trace.Refine_pass { engine = t.ename; node = v; pass });
+        Trace.emit t.env.sink (Trace.Refine_pass { engine = t.env.name; node = v; pass });
         let flds_seen = Edge_tbl.create 64 in
-        let pts = run_pass t ?prune ~flds_to_refine ~flds_seen v in
+        let pts =
+          match t.mode with
+          | No_refine -> exact_pass ?prune t.env t.env.budget v
+          | Refine -> refine_pass t ?prune ~flds_to_refine ~flds_seen v
+        in
         let satisfied = match satisfy with Some pred -> pred pts | None -> false in
-        if satisfied then pts
-        else if t.mode = No_refine || Edge_tbl.length flds_seen = 0 then pts
+        if satisfied || Edge_tbl.length flds_seen = 0 then pts
         else begin
           Edge_tbl.iter (fun edge () -> Edge_tbl.replace flds_to_refine edge ()) flds_seen;
           iterate (pass + 1)
         end
       in
-      Query.Resolved (iterate 1)
-    with Budget.Out_of_budget ->
-      Trace.emit t.sink
-        (Trace.Budget_exceeded
-           { engine = t.ename; node = v; steps = Budget.steps_this_query t.budget });
-      Query.Exceeded
-  in
-  flush_pruner t.sink t.ename prune;
-  (match outcome with
-  | Query.Resolved ts ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = t.ename;
-           node = v;
-           resolved = true;
-           targets = Query.Target_set.cardinal ts;
-           steps = Budget.steps_this_query t.budget;
-         })
-  | Query.Exceeded ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = t.ename;
-           node = v;
-           resolved = false;
-           targets = 0;
-           steps = Budget.steps_this_query t.budget;
-         }));
-  outcome
+      iterate 1)

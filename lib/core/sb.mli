@@ -13,7 +13,9 @@
 
     Both are context-sensitive for method invocation (call-site stacks,
     RRP) and heap abstraction (targets carry heap contexts). Both run
-    {!Kernel.solve} over a per-pass {!Kernel.policy}. *)
+    {!Kernel.solve} over a per-pass {!Kernel.policy}, inside the shared
+    query driver {!Kernel.run_query}. NOREFINE's pass ({!exact_pass}) is
+    also SUPA's flow-insensitive stage one. *)
 
 type mode = No_refine | Refine
 
@@ -29,8 +31,15 @@ val points_to : t -> ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.
     anti-monotone predicates. Without [satisfy], the result is the exact
     CFL answer (or [Exceeded]). *)
 
-val budget : t -> Budget.t
-val mode : t -> mode
+val exact_pass : ?prune:Kernel.pruner -> Kernel.env -> Budget.t -> Pag.node -> Query.Target_set.t
+(** NOREFINE's pass: one exact kernel solve from the root under the empty
+    context, local walks memoised within the pass. Summary hit/miss
+    events go to [env]'s sink under [env]'s engine name; steps are
+    charged to the given budget, which need not be [env]'s — SUPA runs
+    its refinement sub-queries on private allowances.
+    @raise Budget.Out_of_budget *)
+
+val env : t -> Kernel.env
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["passes"] (refinement passes),

@@ -1,16 +1,9 @@
 module Hstack = Pts_util.Hstack
-module Stats = Pts_util.Stats
 module Tbl = Kernel.Key_tbl
 
 type t = {
-  pag : Pag.t;
-  conf : Conf.t;
-  budget : Budget.t; (* per-query budget for the online phase *)
-  offline_budget : Budget.t;
-  stats : Stats.t;
-  sink : Trace.sink;
-  cache : Ppta.summary Tbl.t;
-  footprints : int list Tbl.t; (* key -> PAG nodes its derivation visited *)
+  env : Kernel.env; (* its budget is the per-query one of the online phase *)
+  store : Ppta.store;
   mutable truncated : bool;
 }
 
@@ -22,32 +15,12 @@ let rename = function
   | Trace.Summary_miss _ -> Some "online_misses"
   | _ -> None
 
-let summary_count t = Tbl.length t.cache
+let summary_count t = Tbl.length t.store.summaries
 
-let summary_points t =
-  let pts = Hashtbl.create 256 in
-  Tbl.iter (fun (n, _f, s) _ -> Hashtbl.replace pts (n, s) ()) t.cache;
-  Hashtbl.length pts
+let summary_points t = Ppta.points t.store
 let truncated t = t.truncated
-let budget t = t.budget
-let stats t = t.stats
-let offline_steps t = Budget.total_steps t.offline_budget
-
-let key u f s = (u, Hstack.id f, Ppta.state_to_int s)
-
-(* A PPTA run that also records which nodes it visited — the entry's
-   invalidation footprint under post-freeze edits. *)
-let traced_compute t budget u f s =
-  let seen = Hashtbl.create 32 in
-  let fp = ref [] in
-  let trace v _ _ =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      fp := v :: !fp
-    end
-  in
-  let summary = Ppta.compute t.pag t.conf budget ~trace u f s in
-  (summary, List.sort compare !fp)
+let env t = t.env
+let stats t = t.env.Kernel.stats
 
 (* Frontier expansion, context-free: the summary keys a worklist could
    request next, regardless of calling context. *)
@@ -63,7 +36,7 @@ let successors pag (x, f1, s1) =
     @ List.map (fun y -> (y, f1, Ppta.S2)) (Pag.global_out pag x)
 
 let offline t max_summaries =
-  let pag = t.pag in
+  let pag = t.env.Kernel.pag in
   let queue = Queue.create () in
   let seen : unit Tbl.t = Tbl.create 4096 in
   (* [visit] dedups every key encountered; keys whose node has local edges
@@ -71,8 +44,8 @@ let offline t max_summaries =
      global-edge successors are chased transitively (cycles are cut by
      [seen]). *)
   let rec visit (u, f, s) =
-    if not (Tbl.mem seen (key u f s)) then begin
-      Tbl.add seen (key u f s) ();
+    if not (Tbl.mem seen (Ppta.key u f s)) then begin
+      Tbl.add seen (Ppta.key u f s) ();
       if Pag.has_local_edges pag u then Queue.add (u, f, s) queue
       else List.iter visit (successors pag (u, f, s))
     end
@@ -82,15 +55,15 @@ let offline t max_summaries =
     if (not (Pag.is_obj pag n)) && Pag.has_local_edges pag n then
       visit (n, Hstack.empty, Ppta.S1)
   done;
+  let budget = Budget.unlimited () in
   let depth_aborts = ref 0 in
   while (not (Queue.is_empty queue)) && not t.truncated do
     let u, f, s = Queue.pop queue in
-    if Tbl.length t.cache >= max_summaries then t.truncated <- true
+    if Tbl.length t.store.summaries >= max_summaries then t.truncated <- true
     else begin
-      match traced_compute t t.offline_budget u f s with
+      match Ppta.derive pag t.env.Kernel.conf budget u f s with
       | summary, fp ->
-        Tbl.replace t.cache (key u f s) summary;
-        Tbl.replace t.footprints (key u f s) fp;
+        Ppta.add t.store (Ppta.key u f s) summary fp;
         List.iter
           (fun tuple -> List.iter visit (successors pag tuple))
           summary.Ppta.tuples
@@ -100,121 +73,26 @@ let offline t max_summaries =
     end
   done;
   if !depth_aborts > 0 then
-    Trace.emit t.sink
+    Trace.emit t.env.Kernel.sink
       (Trace.Counter { engine = name; name = "offline_depth_aborts"; delta = !depth_aborts })
 
-let create ?(conf = Conf.default) ?(trace = Trace.null) ?(max_summaries = 300_000) pag =
-  let stats = Stats.create () in
+let create ?conf ?trace ?(max_summaries = 300_000) pag =
   let t =
     {
-      pag;
-      conf;
-      budget = Budget.create ~limit:conf.Conf.budget_limit;
-      offline_budget = Budget.unlimited ();
-      stats;
-      sink = Trace.tee (Trace.counting ~rename stats) trace;
-      cache = Tbl.create 4096;
-      footprints = Tbl.create 4096;
+      env = Kernel.env ~name ~rename ?conf ?trace pag;
+      store = Ppta.store ();
       truncated = false;
     }
   in
   offline t max_summaries;
   t
 
-(* Online: Algorithm 4's worklist over the precomputed cache. *)
-let summarise t u f s =
-  if not (Pag.has_local_edges t.pag u) then { Ppta.objs = []; tuples = [ (u, f, s) ] }
-  else
-    match Tbl.find_opt t.cache (key u f s) with
-    | Some summary ->
-      Trace.emit t.sink (Trace.Summary_hit { engine = name; node = u });
-      summary
-    | None ->
-      Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-      let summary, fp = traced_compute t t.budget u f s in
-      Tbl.replace t.cache (key u f s) summary;
-      Tbl.replace t.footprints (key u f s) fp;
-      summary
+(* Dropped offline entries are recovered lazily by the online backfill. *)
+let invalidate t dirty = Ppta.invalidate t.store t.env.Kernel.pag dirty
 
-(* Same footprint-vs-dirty cut as {!Dynsum.invalidate}; dropped offline
-   entries are recovered lazily by the online backfill above. *)
-let invalidate t dirty =
-  let n = Pag.node_count t.pag in
-  let dirtyb = Bytes.make (max 1 n) '\000' in
-  List.iter (fun d -> if d >= 0 && d < n then Bytes.set dirtyb d '\001') dirty;
-  let doomed = ref [] in
-  Tbl.iter
-    (fun key _ ->
-      let dead =
-        match Tbl.find_opt t.footprints key with
-        | None | Some [] -> true
-        | Some fp -> List.exists (fun v -> Bytes.get dirtyb v = '\001') fp
-      in
-      if dead then doomed := key :: !doomed)
-    t.cache;
-  List.iter
-    (fun key ->
-      Tbl.remove t.cache key;
-      Tbl.remove t.footprints key)
-    !doomed;
-  (List.length !doomed, Tbl.length t.cache)
-
-let expand t u f s =
-  let summary = summarise t u f s in
-  { Kernel.lr_objs = summary.Ppta.objs;
-    lr_match_objs = [];
-    lr_frontier = summary.Ppta.tuples;
-    lr_jumps = [] }
-
-(* Same refutation-direction early exit as {!Dynsum.points_to}. *)
-let stop_of_satisfy satisfy =
-  Option.map (fun pred -> fun acc -> not (pred acc)) satisfy
-
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
-
+(* Online: Algorithm 4's worklist over the precomputed store; keys the
+   offline phase missed are backfilled on demand. *)
 let points_to t ?satisfy v =
-  Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
-  Budget.start_query t.budget;
-  (* Pruning applies only to the online worklist; the offline table and
-     any online summary backfill stay prune-free (query-independent). *)
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
-  let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      Trace.emit t.sink (Trace.Counter { engine = name; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Query.Resolved
-          (Kernel.solve ?stop:(stop_of_satisfy satisfy) ?prune t.pag t.budget (expand t) v
-             Hstack.empty)
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
-  in
-  flush_pruner t.sink name prune;
-  (match outcome with
-  | Query.Resolved ts ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = name;
-           node = v;
-           resolved = true;
-           targets = Query.Target_set.cardinal ts;
-           steps = Budget.steps_this_query t.budget;
-         })
-  | Query.Exceeded ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         { engine = name; node = v; resolved = false; targets = 0;
-           steps = Budget.steps_this_query t.budget }));
-  outcome
+  Kernel.run_query t.env v (fun prune ->
+      Ppta.solve ?satisfy ?prune ~miss:(Ppta.derive_missing t.store t.env) t.store t.env v
+        Hstack.empty)

@@ -11,7 +11,7 @@
     far more summaries than DYNSUM ever materialises on demand, which is
     precisely the paper's Figure 5 measurement.
 
-    Queries then run {!Kernel.solve} over the precomputed cache. With an
+    Queries then run {!Ppta.solve} over the precomputed store. With an
     uncapped offline phase the cache is total and demand queries never
     compute a summary; if the safety cap (or the field-depth bound)
     truncates the offline phase, missing keys are computed lazily and
@@ -41,10 +41,7 @@ val invalidate : t -> Pag.node list -> int * int
     dropped keys are recomputed lazily by the online phase on next use.
     Returns [(dropped, retained)]. *)
 
-val offline_steps : t -> int
-(** PPTA steps spent in the offline phase. *)
-
-val budget : t -> Budget.t
+val env : t -> Kernel.env
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["online_hits"] (=

@@ -1,10 +1,10 @@
 (* SUPA: demand-driven flow-sensitive points-to with strong updates via
    value-flow refinement (after Sui & Xue).
 
-   The engine answers in two stages. Stage one is the exact CFL kernel
-   solve every other engine starts from — the flow-insensitive baseline,
-   and the proof obligation for soundness: the final answer is always a
-   subset of it. Stage two builds a query-local sparse value-flow graph
+   The engine answers in two stages. Stage one is NOREFINE's exact pass
+   ({!Sb.exact_pass}) — the flow-insensitive baseline, and the proof
+   obligation for soundness: the final answer is always a subset of it.
+   Stage two builds a query-local sparse value-flow graph
    from the lowered IR of the query variable's method — def-use chains
    walked backwards in body order — and filters the baseline down to the
    allocation sites that survive flow-sensitive reasoning. A load's value
@@ -17,17 +17,9 @@
    baseline answer, so refinement can only remove flow-insensitive noise,
    never invent or lose a value. *)
 
-module Hstack = Pts_util.Hstack
-module Stats = Pts_util.Stats
 module Int_set = Set.Make (Int)
 
-type t = {
-  pag : Pag.t;
-  conf : Conf.t;
-  budget : Budget.t;
-  stats : Stats.t;
-  sink : Trace.sink;
-}
+type t = Kernel.env
 
 let ename = "supa"
 
@@ -36,45 +28,9 @@ let rename = function
   | Trace.Summary_hit _ -> Some "memo_hits"
   | _ -> None
 
-let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
-  let stats = Stats.create () in
-  {
-    pag;
-    conf;
-    budget = Budget.create ~limit:conf.Conf.budget_limit;
-    stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
-  }
+let create ?conf ?trace pag : t = Kernel.env ~name:ename ~rename ?conf ?trace pag
 
-let budget t = t.budget
-let stats t = t.stats
-
-module Memo = Kernel.Key_tbl
-
-(* ----------------------- stage one: the baseline --------------------- *)
-
-(* Exact kernel solve (NOREFINE's machine verbatim): field stacks tracked
-   exactly, local walks memoised per (node, fstack, state). [budget] is
-   passed explicitly so refinement sub-queries can run on a private
-   allowance without corrupting the engine's per-query accounting. *)
-let kernel_pts t ?prune budget v =
-  let memo = Memo.create 256 in
-  let expand u f s =
-    if not (Pag.has_local_edges t.pag u) then Kernel.frontier_only u f s
-    else begin
-      let key = (u, Hstack.id f, Kernel.state_to_int s) in
-      match Memo.find_opt memo key with
-      | Some r ->
-        Trace.emit t.sink (Trace.Summary_hit { engine = ename; node = u });
-        r
-      | None ->
-        Trace.emit t.sink (Trace.Summary_miss { engine = ename; node = u });
-        let r = Kernel.local_walk ?prune ~policy:Kernel.exact_policy t.pag t.conf budget u f s in
-        Memo.add memo key r;
-        r
-    end
-  in
-  Kernel.solve ?prune t.pag budget expand v Hstack.empty
+let env t = t
 
 (* ------------------- stage two: value-flow refinement ----------------- *)
 
@@ -130,15 +86,16 @@ let def_of = function
   | Ir.Call { dst = None; _ } | Ir.Store _ | Ir.Store_global _ | Ir.Return _ -> None
 
 (* Can [node] point to [site]? Oracle first; when it cannot refute, a
-   points-to sub-query through the shared kernel on a private budget — the
-   refinement step proper. Inconclusive (sub-query exceeded) means yes. *)
+   points-to sub-query through NOREFINE's pass on a private budget, so it
+   cannot corrupt the engine's per-query accounting — the refinement step
+   proper. Inconclusive (sub-query exceeded) means yes. *)
 let may_point_to w node site =
   Pag.oracle_mem w.t.pag node site
   && begin
        w.subqueries <- w.subqueries + 1;
        let budget = Budget.create ~limit:(max 1 (w.t.conf.Conf.budget_limit / 4)) in
        Budget.start_query budget;
-       match kernel_pts w.t budget node with
+       match Sb.exact_pass w.t budget node with
        | pts -> List.mem site (Query.sites pts)
        | exception Budget.Out_of_budget -> true
      end
@@ -251,7 +208,7 @@ and resolve_load w i =
 (* Survivor sites for the query variable: the union over all its
    definitions (any definition can reach some use), each resolved
    flow-sensitively. [None] = no refinement possible (Top). *)
-let survivors t v =
+let survivors (t : t) v =
   match Pag.kind t.pag v with
   | Pag.Global _ | Pag.Obj _ -> None
   | Pag.Local { meth; var } ->
@@ -300,64 +257,16 @@ let survivors t v =
 
 (* ------------------------------ the query ---------------------------- *)
 
-let points_to t ?satisfy v : Query.outcome =
-  Trace.emit t.sink (Trace.Query_start { engine = ename; node = v });
-  Budget.start_query t.budget;
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
-  let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 1 });
-        let base = kernel_pts t ?prune t.budget v in
-        let satisfied = match satisfy with Some pred -> pred base | None -> false in
-        if satisfied || Query.Target_set.is_empty base then Query.Resolved base
-        else begin
-          Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 2 });
-          match survivors t v with
-          | None -> Query.Resolved base
-          | Some sites ->
-            Query.Resolved
-              (Query.Target_set.filter
-                 (fun tgt -> Int_set.mem tgt.Query.Target.site sites)
-                 base)
-        end
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded
-             { engine = ename; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
-  in
-  (match prune with
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "pruned_states"; delta = pruned }));
-  (match outcome with
-  | Query.Resolved ts ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = ename;
-           node = v;
-           resolved = true;
-           targets = Query.Target_set.cardinal ts;
-           steps = Budget.steps_this_query t.budget;
-         })
-  | Query.Exceeded ->
-    Trace.emit t.sink
-      (Trace.Query_end
-         {
-           engine = ename;
-           node = v;
-           resolved = false;
-           targets = 0;
-           steps = Budget.steps_this_query t.budget;
-         }));
-  outcome
+let points_to (t : t) ?satisfy v : Query.outcome =
+  Kernel.run_query t v (fun prune ->
+      Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 1 });
+      let base = Sb.exact_pass ?prune t t.budget v in
+      let satisfied = match satisfy with Some pred -> pred base | None -> false in
+      if satisfied || Query.Target_set.is_empty base then base
+      else begin
+        Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 2 });
+        match survivors t v with
+        | None -> base
+        | Some sites ->
+          Query.Target_set.filter (fun tgt -> Int_set.mem tgt.Query.Target.site sites) base
+      end)

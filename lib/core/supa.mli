@@ -2,8 +2,9 @@
     value-flow refinement (after Sui & Xue, "On-Demand Strong Update
     Analysis via Value-Flow Refinement").
 
-    Answers in two stages. Stage one is the exact CFL kernel solve
-    (NOREFINE's machine verbatim) — the flow-insensitive baseline. Stage
+    Answers in two stages. Stage one is NOREFINE's pass
+    ({!Sb.exact_pass}, under SUPA's name and sink) — the
+    flow-insensitive baseline. Stage
     two builds a query-local sparse value-flow graph from the lowered IR
     of the query variable's method — def-use chains walked backwards in
     body order, derived through {!Pag.View} metadata so edit overlays
@@ -14,7 +15,7 @@
     {e and} the Andersen oracle admits the base as a singleton
     non-summary object ({!Pag.oracle_singleton}); ambiguous stores are
     weak updates, refined where possible by recursive points-to
-    sub-queries through the shared kernel on a private budget. Every
+    sub-queries through the same pass on a private budget. Every
     channel the walk cannot model (parameters, globals, call returns,
     loops, overlay-dirty nodes or fields) degrades to Top — the baseline
     — so the answer is a subset of NOREFINE's by construction. *)
@@ -31,11 +32,9 @@ val points_to : t -> ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.
     an outcome that is [Resolved] without refinement is never turned
     into [Exceeded] by it. *)
 
-val budget : t -> Budget.t
-
-val stats : t -> Pts_util.Stats.t
-(** Counters: ["queries"], ["exceeded"], ["passes"] (1 = baseline,
-    2 = refinement), ["memo_hits"] (within-query walk memo),
+val env : t -> Kernel.env
+(** Its [stats] counters: ["queries"], ["exceeded"], ["passes"] (1 =
+    baseline, 2 = refinement), ["memo_hits"] (within-query walk memo),
     ["vfg_nodes"] (value-flow nodes visited), ["strong_updates"],
-    ["weak_updates"], ["refinement_subqueries"] (kernel sub-queries
+    ["weak_updates"], ["refinement_subqueries"] (points-to sub-queries
     issued to refute store aliasing). *)

@@ -54,7 +54,7 @@ let engine_confs =
     (fun name -> [ (name, false); (name, true) ])
     engine_names
 
-let build_engines pag =
+let engines_of pag =
   List.map
     (fun (name, prune) -> Engine.create ~conf:(conf_for ~prune name) name pag)
     engine_confs
@@ -113,7 +113,7 @@ let run ?(report_jobs = [ 1; 2; 4 ]) ?(progress = fun _ -> ()) ~bench ~bursts
      never leak into other users of the suite. *)
   let pl = Pipeline.of_source source in
   let incr = Incr.create pl.Pipeline.pag in
-  let engines = build_engines pl.Pipeline.pag in
+  let engines = engines_of pl.Pipeline.pag in
   List.iter (Incr.register incr) engines;
   let queries = queries_of pl in
   (* Warm pass: populate the summary caches so the first burst has
@@ -138,7 +138,7 @@ let run ?(report_jobs = [ 1; 2; 4 ]) ?(progress = fun _ -> ()) ~bench ~bursts
     List.iter
       (fun s -> ignore (Pag.apply_edits rpl.Pipeline.pag s))
       (List.rev !scripts);
-    let rebuilt_engines = build_engines rpl.Pipeline.pag in
+    let rebuilt_engines = engines_of rpl.Pipeline.pag in
     let rqueries = queries_of rpl in
     let rebuilt_vectors = List.map (fun e -> answer e rqueries) rebuilt_engines in
     let rebuild_seconds = now () -. t0 in

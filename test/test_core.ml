@@ -548,7 +548,7 @@ let test_stasum_truncation_path () =
 let test_alias_unknown_on_budget () =
   let pl = Pts_workload.Figure2.pipeline () in
   let conf = Engine.conf ~budget_limit:2 () in
-  let engine = Engine.dynsum (Dynsum.create ~conf pl.Pts_clients.Pipeline.pag) in
+  let engine = Engine.create ~conf "dynsum" pl.Pts_clients.Pipeline.pag in
   let s1 = Pts_workload.Figure2.s1 pl in
   let s2 = Pts_workload.Figure2.s2 pl in
   check Alcotest.bool "unknown under tiny budget" true

@@ -264,6 +264,23 @@ let test_supa_inflow_overlay_downgrade () =
     check Alcotest.bool "still subset of baseline" true (Query.Target_set.subset a b)
   | _ -> Alcotest.fail "post-edit queries exceeded"
 
+(* The refinement sub-query path: on the committed taint workload (jack
+   with flows 8 / clean 8 / kill 4 / weak 3, as in BENCH_taint.json) some
+   ambiguous store must be refuted through a points-to sub-query, which
+   runs NOREFINE's exact pass on a private budget. *)
+let test_supa_refinement_subqueries () =
+  let source =
+    G.generate (Pts_workload.Suite.tainted ~flows:8 ~clean:8 ~kill:4 ~weak:3 "jack")
+  in
+  let pl = Pipeline.of_source source in
+  let spec = Pts_taint.Spec.of_source source in
+  let opts = { Check.default_opts with Check.o_engine = "supa" } in
+  let report = Check.run ~opts ~checkers:[ Pts_taint.Checker.checker ~spec () ] pl in
+  check Alcotest.bool "at least one refinement sub-query" true
+    (Pts_util.Stats.get report.Check.r_stats "refinement_subqueries" >= 1);
+  check Alcotest.bool "strong updates still fire" true
+    (Pts_util.Stats.get report.Check.r_stats "strong_updates" > 0)
+
 let () =
   Alcotest.run "supa"
     [
@@ -279,5 +296,7 @@ let () =
           Alcotest.test_case "kill shape strongly updated" `Quick test_supa_strong_update;
           Alcotest.test_case "field overlay downgrades" `Quick test_supa_field_overlay_downgrade;
           Alcotest.test_case "inflow overlay downgrades" `Quick test_supa_inflow_overlay_downgrade;
+          Alcotest.test_case "taint workload issues sub-queries" `Quick
+            test_supa_refinement_subqueries;
         ] );
     ]

@@ -91,7 +91,7 @@ class Main {
 
 let test_alias_verdicts () =
   let pl = pipeline alias_src in
-  let engine = Engine.dynsum (Dynsum.create pl.Pts_clients.Pipeline.pag) in
+  let engine = Engine.create "dynsum" pl.Pts_clients.Pipeline.pag in
   let node v = Pts_clients.Pipeline.find_local pl ~meth_pretty:"Main.main" ~var:v in
   let is_verdict = Alcotest.testable
       (fun fmt -> function
@@ -111,7 +111,7 @@ let test_alias_verdicts () =
 
 let test_alias_sites_never_more_precise () =
   let pl = Pts_workload.Suite.pipeline "jack" in
-  let engine = Engine.dynsum (Dynsum.create pl.Pts_clients.Pipeline.pag) in
+  let engine = Engine.create "dynsum" pl.Pts_clients.Pipeline.pag in
   let qs = Pts_clients.Safecast.queries pl in
   let nodes = List.map (fun q -> q.Pts_clients.Client.q_node) qs in
   let rec pairs = function

@@ -154,6 +154,44 @@ let test_registry_engines_agree () =
         check Alcotest.bool (name ^ " agrees with norefine") true (Query.equal_sites first o))
       rest
 
+(* The lifecycle contract of [Kernel.run_query], observed per query: one
+   start, one end, the end's steps equal to the engine's query budget
+   count, and every unresolved end preceded — counters aside — by a
+   [Budget_exceeded] for the same root. Returns each query's verdict. *)
+let lifecycle_verdicts name ~prune ~budget_limit pag queries =
+  let events = ref [] in
+  let sink = { Trace.emit = (fun ev -> events := ev :: !events); close = ignore } in
+  let e = Engine.create ~conf:(Engine.conf ~budget_limit ~prune ()) ~trace:sink name pag in
+  let label = Printf.sprintf "%s prune=%b budget=%d" name prune budget_limit in
+  List.map
+    (fun q ->
+      let v = q.Pts_clients.Client.q_node in
+      events := [];
+      let outcome = e.Engine.points_to ~satisfy:q.Pts_clients.Client.q_pred v in
+      let evs = !events (* newest first *) in
+      let count p = List.length (List.filter p evs) in
+      check Alcotest.int (label ^ ": one query_start") 1
+        (count (function Trace.Query_start _ -> true | _ -> false));
+      check Alcotest.int (label ^ ": one query_end") 1
+        (count (function Trace.Query_end _ -> true | _ -> false));
+      (match List.rev evs with
+      | Trace.Query_start { node; _ } :: _ -> check Alcotest.int (label ^ ": start first") v node
+      | _ -> Alcotest.fail (label ^ ": query_start is not the first event"));
+      (match List.filter (function Trace.Counter _ -> false | _ -> true) evs with
+      | Trace.Query_end { node; resolved; steps; _ } :: before ->
+        check Alcotest.int (label ^ ": end node") v node;
+        check Alcotest.int (label ^ ": end steps") (Budget.steps_this_query e.Engine.budget) steps;
+        check Alcotest.bool (label ^ ": resolved iff outcome resolved") resolved
+          (match outcome with Query.Resolved _ -> true | Query.Exceeded -> false);
+        if not resolved then (
+          match before with
+          | Trace.Budget_exceeded { node = n; _ } :: _ ->
+            check Alcotest.int (label ^ ": exceeded node") v n
+          | _ -> Alcotest.fail (label ^ ": unresolved end without budget_exceeded"))
+      | _ -> Alcotest.fail (label ^ ": query_end is not the last lifecycle event"));
+      Pts_clients.Client.verdict_of q.Pts_clients.Client.q_pred outcome)
+    queries
+
 let test_registry_engines_trace () =
   (* a trace sink passed through the registry observes every engine *)
   let pl = figure2 () in
@@ -165,6 +203,35 @@ let test_registry_engines_trace () =
       let e = Engine.create ~trace:(Trace.counting stats) name pag in
       ignore (e.Engine.points_to s1);
       check Alcotest.bool (name ^ " emits query events") true (Stats.get stats "queries" > 0))
+    (Engine.names ());
+  (* every engine shares one query driver: its contract holds for each
+     registered engine x prune on/off on a generated suite program, at the
+     default budget and at a budget of one step, where a verdict may only
+     degrade to Unknown (a summary table filled offline may still prove) *)
+  let pl = Pts_workload.Suite.pipeline "jack" in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let queries = Pts_clients.Nullderef.queries pl in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun prune ->
+          let full =
+            lifecycle_verdicts name ~prune ~budget_limit:Engine.default_conf.Engine.budget_limit pag
+              queries
+          in
+          let starved = lifecycle_verdicts name ~prune ~budget_limit:1 pag queries in
+          List.iter2
+            (fun a b ->
+              check Alcotest.bool
+                (Printf.sprintf "%s prune=%b: budget 1 is Unknown or the full verdict" name prune)
+                true
+                (b = Pts_clients.Client.Unknown || b = a))
+            full starved;
+          check Alcotest.bool
+            (Printf.sprintf "%s prune=%b: budget 1 exhausts some query" name prune)
+            true
+            (List.mem Pts_clients.Client.Unknown starved))
+        [ false; true ])
     (Engine.names ())
 
 let () =

@@ -124,12 +124,14 @@ smoke-incr:
 	    print("incr smoke ok:", len(r["bursts"]), "bursts,", r["retained"], "summaries retained, reports byte-equal")'
 
 # The daemon end to end: a scripted request mix (query, full check, an
-# edit burst, the query again post-edit, stats, shutdown) piped through
-# `ptsto serve` on stdin. The embedded verdicts/report objects must
-# equal the one-shot CLI's --verdicts-json / --report-json outputs, and
-# the edit must bump the epoch every later response carries.
+# ill-typed and an over-bound edit, a real edit burst, the query again
+# post-edit, stats, shutdown) piped through `ptsto serve` on stdin. The
+# embedded verdicts/report objects must equal the one-shot CLI's
+# --verdicts-json / --report-json outputs, both bad edits must be
+# refused with bad_request without touching the graph, and the real
+# edit must bump the epoch to 1, which every later response carries.
 smoke-serve:
-	printf '{"op":"query","client":"safecast","id":1}\n{"op":"check","id":2}\n{"op":"edit","edits":4,"seed":7,"id":3}\n{"op":"query","client":"safecast","id":4}\n{"op":"stats","id":5}\n{"op":"shutdown","id":6}\n' \
+	printf '{"op":"query","client":"safecast","id":1}\n{"op":"check","id":2}\n{"op":"edit","edits":"many","id":"ill-typed"}\n{"op":"edit","edits":100000000,"id":"over-bound"}\n{"op":"edit","edits":4,"seed":7,"id":3}\n{"op":"query","client":"safecast","id":4}\n{"op":"stats","id":5}\n{"op":"shutdown","id":6}\n' \
 	  | $(DUNE) exec bin/ptsto.exe -- serve --bench jack > /tmp/ptsto_serve_out.jsonl
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --verdicts-json \
 	  | tail -n 1 > /tmp/ptsto_serve_ref_verdicts.json
@@ -141,6 +143,7 @@ smoke-serve:
 	  r=json.load(open("/tmp/ptsto_serve_ref_report.json")); \
 	  assert resp[1]["ok"] and resp[1]["verdicts"] == v, "verdicts differ from one-shot CLI"; \
 	  assert resp[2]["ok"] and resp[2]["report"] == r, "report differs from one-shot CLI"; \
+	  assert all(resp[k]["error"]["code"] == "bad_request" for k in ("ill-typed", "over-bound")), resp; \
 	  assert resp[3]["ok"] and resp[3]["epoch"] == 1, resp[3]; \
 	  assert resp[4]["ok"] and resp[4]["epoch"] == 1, resp[4]; \
 	  assert resp[5]["ok"] and resp[6]["ok"], (resp[5], resp[6]); \

@@ -881,10 +881,8 @@ let parallel_conf = Engine.conf ~budget_limit:2_000_000 ()
    keeps the minimum wall time (answers and steps are deterministic; only
    the clock is noisy) — the smoke variant uses it so the jobs=1 row is a
    scheduling measurement, not an OS-jitter one. *)
-let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
-  hr
-    (Printf.sprintf "Extension — parallel batch evaluation (%s, NullDeref, dynsum, %d round%s)"
-       bench rounds (if rounds = 1 then "" else "s"));
+let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
+  hr (Printf.sprintf "Extension — parallel batch evaluation (%s, NullDeref, dynsum)" bench);
   let pl = Suite.pipeline bench in
   let queries = Pts_clients.Nullderef.queries pl in
   let qarr = Array.of_list (List.map (fun q -> Parsolve.query q.Client.q_node) queries) in
@@ -917,19 +915,17 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
         Timing.sample ~repeat
           ~wall:(fun r -> r.Parsolve.wall_seconds)
           (fun () ->
-            Parsolve.run ~conf:parallel_conf ~jobs ~rounds ~engine:"dynsum" pl.Pipeline.pag qarr)
+            Parsolve.run ~conf:parallel_conf ~jobs ~engine:"dynsum" pl.Pipeline.pag qarr)
       in
       let steps = List.fold_left (fun a d -> a + d.Parsolve.dr_steps) 0 r.Parsolve.reports in
-      (* per-domain total steps across rounds; imbalance = max/mean —
-         1.0 is a perfectly level load *)
-      let by_domain = Array.make jobs 0 in
-      List.iter
-        (fun d -> by_domain.(d.Parsolve.dr_domain) <- by_domain.(d.Parsolve.dr_domain) + d.Parsolve.dr_steps)
-        r.Parsolve.reports;
+      (* imbalance = max/mean of per-domain steps — 1.0 is a perfectly
+         level load *)
       let imbalance =
         let mean = float_of_int steps /. float_of_int jobs in
         if mean <= 0.0 then 1.0
-        else float_of_int (Array.fold_left max 0 by_domain) /. mean
+        else
+          float_of_int (List.fold_left (fun a d -> max a d.Parsolve.dr_steps) 0 r.Parsolve.reports)
+          /. mean
       in
       let equal, speedup =
         match !baseline with
@@ -942,7 +938,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
       in
       Bm.row artefact ~bench ~engine:"dynsum" ~jobs
         [
-          ("rounds", Bm.Json.Int r.Parsolve.rounds);
           ("queries", Bm.Json.Int (Array.length qarr));
           ("wall_seconds", Bm.Json.Float wall);
           ("steps", Bm.Json.Int steps);
@@ -978,21 +973,20 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
   Printf.printf
     "(wall-clock speedup tracks the machine's core count — %d domain(s) recommended here;\n\
     \ 'derived' counts every summary computed in some domain, 'unique' the distinct keys:\n\
-    \ their gap is the cross-domain recomputation the shared base tier eliminates)\n"
+    \ their gap is the summaries derived in more than one domain)\n"
     (Domain.recommended_domain_count ());
   Bm.flush artefact
     ~note:
-      ("recommended_domains is Domain.recommended_domain_count() of the measuring host — 1 in the \
-        CI container, so wall-clock speedup is unattainable there and the steps/imbalance columns \
-        are the machine-independent signal. jobs is the requested domain count, independent of \
-        the host. rounds=" ^ string_of_int rounds)
+      "recommended_domains is Domain.recommended_domain_count() of the measuring host — 1 in the \
+       CI container, so wall-clock speedup is unattainable there and the steps/imbalance columns \
+       are the machine-independent signal. jobs is the requested domain count, independent of \
+       the host."
 
 let parallel () =
-  run_parallel_bench ~artefact:"parallel" ~bench:Suite.largest ~jobs_list:[ 1; 2; 4 ] ~rounds:2 ()
+  run_parallel_bench ~artefact:"parallel" ~bench:Suite.largest ~jobs_list:[ 1; 2; 4 ] ()
 
 let parallel_smoke () =
-  run_parallel_bench ~artefact:"parallel_smoke" ~bench:"jack" ~jobs_list:[ 1; 2 ] ~rounds:1
-    ~repeat:5 ()
+  run_parallel_bench ~artefact:"parallel_smoke" ~bench:"jack" ~jobs_list:[ 1; 2 ] ~repeat:5 ()
 
 (* --------------------------------------------------------------------- *)
 (* Andersen-guided pruning (--prune)                                      *)
@@ -1437,11 +1431,10 @@ let pctl_ms lat p =
 let serve_checkers bench =
   Pts_taint.Registry.all ~taint:(Pts_taint.Spec.of_source ~lang:Loc.Mjava (Suite.source bench)) ()
 
-let serve_req ?(client_id = "bench") op =
-  { Proto.rq_id = Bm.Json.Null; rq_client = client_id; rq_op = op }
+let serve_req op = { Proto.rq_id = Bm.Json.Null; rq_op = op }
 
-let serve_query ?client_id ~engine ~prune client =
-  serve_req ?client_id (Proto.Query { client; engine; prune; budget = None })
+let serve_query ~engine ~prune client =
+  serve_req (Proto.Query { client; engine; prune; budget = None })
 
 let serve_handle_timed d lat rq =
   let resp, dt = Stats.time (fun () -> Daemon.handle d rq) in
@@ -1452,9 +1445,6 @@ let run_serve_equiv ~artefact ~bench () =
   hr (Printf.sprintf "serve: daemon equivalence matrix on %s" bench);
   let module Check = Pts_clients.Check in
   let checkers = serve_checkers bench in
-  let mk_req = serve_req ?client_id:None in
-  let query_req = serve_query ?client_id:None in
-  let handle_timed = serve_handle_timed in
   let member_str name resp =
     match Bm.Json.member name resp with
     | Some j -> Bm.Json.to_string j
@@ -1502,10 +1492,12 @@ let run_serve_equiv ~artefact ~bench () =
             let lat = ref [] in
             let (q_eq, c_eq), wall =
               Stats.time (fun () ->
-                  let q_resp = handle_timed daemon lat (query_req ~engine ~prune "safecast") in
+                  let q_resp =
+                    serve_handle_timed daemon lat (serve_query ~engine ~prune "safecast")
+                  in
                   let c_resp =
-                    handle_timed daemon lat
-                      (mk_req (Proto.Check { checkers = []; engine; prune; budget = None }))
+                    serve_handle_timed daemon lat
+                      (serve_req (Proto.Check { checkers = []; engine; prune; budget = None }))
                   in
                   ( member_str "verdicts" q_resp = fresh_verdicts !reference ~engine ~prune "safecast",
                     member_str "report" c_resp = fresh_report !reference ~engine ~prune ))
@@ -1543,7 +1535,7 @@ let run_serve_equiv ~artefact ~bench () =
      replays the same seeded burst through its own Incr, so both sides
      answer on identical PAGs but only the daemon kept warm summaries. *)
   let edit_seed = 97 in
-  let edit_resp = Daemon.handle daemon (mk_req (Proto.Edit { edits = 6; seed = edit_seed })) in
+  let edit_resp = Daemon.handle daemon (serve_req (Proto.Edit { edits = 6; seed = edit_seed })) in
   ignore (Incr.apply !ref_incr (Pts_workload.Editscript.burst (Pts_util.Prng.create edit_seed) !reference.Pipeline.pag ~n:6));
   Printf.printf "edit burst: %s\n" (Bm.Json.to_string edit_resp);
   matrix "post-edit";
@@ -1561,15 +1553,11 @@ let run_serve_equiv ~artefact ~bench () =
    mid-stream. *)
 let run_serve_tput ~artefact ~bench ~requests ~edit_every () =
   hr (Printf.sprintf "serve: sustained throughput on %s" bench);
-  let mk_req = serve_req ?client_id:None in
-  let handle_timed = serve_handle_timed in
   let skew = [ (60, "safecast"); (25, "nullderef"); (10, "factorym"); (5, "devirt") ] in
   let workload seed n =
     let rng = Pts_util.Prng.create seed in
-    List.init n (fun i ->
-        serve_query ~engine:"dynsum" ~prune:false
-          ~client_id:(Printf.sprintf "c%d" (i mod 4))
-          (Pts_util.Prng.weighted rng skew))
+    List.init n (fun _ ->
+        serve_query ~engine:"dynsum" ~prune:false (Pts_util.Prng.weighted rng skew))
   in
   let tput =
     Table.create ~title:(Printf.sprintf "serve throughput on %s (dynsum, shared cross-request tier)" bench)
@@ -1599,9 +1587,10 @@ let run_serve_tput ~artefact ~bench ~requests ~edit_every () =
               if edits && edit_every > 0 && i > 0 && i mod edit_every = 0 then begin
                 edits_done := !edits_done + 1;
                 ignore
-                  (Daemon.handle dmn (mk_req (Proto.Edit { edits = 4; seed = 1000 + !edits_done })))
+                  (Daemon.handle dmn
+                     (serve_req (Proto.Edit { edits = 4; seed = 1000 + !edits_done })))
               end;
-              ignore (handle_timed dmn lat rq))
+              ignore (serve_handle_timed dmn lat rq))
             pairs)
     in
     let n = List.length pairs in

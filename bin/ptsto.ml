@@ -232,8 +232,8 @@ let query_cmd lang file bench meth var engine_name budget prune trace metrics =
    [query] requests make too. With [--cache], a DYNSUM run reads the saved
    summaries through its tier and writes them back together with the
    ones it derived. *)
-let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-    rounds =
+let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson
+    jobs =
   with_pipeline ?lang file bench (fun pl ->
       let pag = pl.Pipeline.pag in
       let cname, queries_of = List.assoc client_key clients in
@@ -272,21 +272,21 @@ let client_cmd lang file bench client_key engine_name budget prune cache_file tr
             exit 1)
       in
       let verdicts, r =
-        Client.answer ~conf ?trace_writer:writer ~jobs ~rounds
+        Client.answer ~conf ?trace_writer:writer ~jobs
           ?base:(Option.map (fun (_, _, tier) -> tier) cache)
           ~engine:engine_name pag (queries_of pl)
       in
       Option.iter Trace.writer_close writer;
       let steps = Array.fold_left ( + ) 0 r.Parsolve.actual_steps in
-      Printf.printf "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d rounds, %d steals)\n"
-        cname engine_name (List.length verdicts) r.Parsolve.wall_seconds steps r.Parsolve.jobs
-        r.Parsolve.rounds r.Parsolve.steals;
+      Printf.printf "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d steals)\n" cname
+        engine_name (List.length verdicts) r.Parsolve.wall_seconds steps r.Parsolve.jobs
+        r.Parsolve.steals;
       Format.printf "  %a@." Client.pp_tally (Client.tally_of verdicts);
       if List.length r.Parsolve.reports > 1 then
         List.iter
           (fun d ->
-            Printf.printf "  round %d domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
-              d.Parsolve.dr_round d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps
+            Printf.printf "  domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
+              d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps
               d.Parsolve.dr_seconds d.Parsolve.dr_summaries d.Parsolve.dr_steals)
           r.Parsolve.reports;
       List.iter
@@ -317,7 +317,6 @@ let client_cmd lang file bench client_key engine_name budget prune cache_file tr
             [
               ("jobs", Int r.Parsolve.jobs);
               ("recommended_domains", Int (Domain.recommended_domain_count ()));
-              ("rounds", Int r.Parsolve.rounds);
               ("wall_seconds", Float r.Parsolve.wall_seconds);
               ("steals", Int r.Parsolve.steals);
               ("predicted_cost_corr", Float r.Parsolve.cost_corr);
@@ -479,7 +478,7 @@ let check_source file bench tflows tclean tkill tweak =
     exit 2
 
 let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget prune jobs
-    rounds fail_on report_json metrics =
+    fail_on report_json metrics =
   let module Check = Pts_clients.Check in
   let module Diag = Pts_clients.Diag in
   let source = check_source file bench tflows tclean tkill tweak in
@@ -509,15 +508,7 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
         names
   in
   let conf = Engine.conf ~budget_limit:budget ~prune () in
-  let opts =
-    {
-      Check.o_engine = engine_name;
-      o_conf = conf;
-      o_jobs = jobs;
-      o_rounds = rounds;
-      o_base = None;
-    }
-  in
+  let opts = { Check.o_engine = engine_name; o_conf = conf; o_jobs = jobs; o_base = None } in
   let report = Check.run ~opts ~checkers pl in
   let t =
     Table.create
@@ -562,7 +553,6 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
               ("schema", String "ptsto.check-metrics/1");
               ("engine", String engine_name);
               ("jobs", Int jobs);
-              ("rounds", Int rounds);
               ("prune", Bool prune);
               ("points", Int report.Check.r_points);
               ("unique_nodes", Int report.Check.r_unique_nodes);
@@ -588,8 +578,7 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
    newline-delimited JSON requests forever. Responses are the only thing
    written to stdout (the banner goes to stderr), so
    [printf ... | ptsto serve --bench jack] is scriptable as-is. *)
-let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_capacity
-    max_cost pipeline socket trace =
+let serve_cmd lang file bench budget max_budget jobs base_capacity max_cost socket trace =
   let module Daemon = Pts_serve.Daemon in
   let source = check_source file bench 0 0 0 0 in
   let lang = match bench with Some _ -> Loc.Mjava | None -> lang_of lang file in
@@ -607,13 +596,10 @@ let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_
       let config =
         {
           Daemon.c_jobs = jobs;
-          c_rounds = rounds;
           c_budget = budget;
           c_max_budget = max_budget;
           c_base_capacity = base_capacity;
-          c_queue_capacity = queue_capacity;
           c_max_cost = max_cost;
-          c_pipeline = pipeline;
         }
       in
       let d = Daemon.create ~config ~trace:sink ~checkers pl in
@@ -728,14 +714,6 @@ let client_t =
   let jobs =
     jobs_arg ~doc:"Answer the query batch on $(docv) worker domains over the shared frozen PAG."
   in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:
-            "Split the batch into $(docv) consecutive rounds, publishing the per-domain dynsum \
-             summaries to a shared base tier between rounds.")
-  in
   let vjson =
     Arg.(
       value & flag
@@ -747,7 +725,7 @@ let client_t =
   Cmd.v (Cmd.info "client" ~doc:"Run a client's query set")
     Term.(
       const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg $ prune_arg
-      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds)
+      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"All engines on all clients")
@@ -854,11 +832,6 @@ let check_t =
              aliased or loop-carried overwrites that every sound engine must still flag.")
   in
   let jobs = jobs_arg ~doc:"Answer the checker query batch on $(docv) worker domains." in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N" ~doc:"Split the batch into $(docv) consecutive rounds.")
-  in
   let fail_on =
     Arg.(
       value
@@ -887,15 +860,10 @@ let check_t =
   Cmd.v (Cmd.info "check" ~doc:"Run the demand-driven checkers and report diagnostics")
     Term.(
       const check_cmd $ lang_arg $ file_arg $ bench_arg $ taint_flows $ taint_clean $ taint_kill
-      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ fail_on $ report_json $ metrics_arg)
+      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ fail_on $ report_json $ metrics_arg)
 
 let serve_t =
   let jobs = jobs_arg ~doc:"Answer each request's query batch on $(docv) worker domains." in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N" ~doc:"Split each request's batch into $(docv) rounds.")
-  in
   let max_budget =
     Arg.(
       value & opt int 0
@@ -912,14 +880,6 @@ let serve_t =
             "Bound the cross-request summary tier to $(docv) entries, evicting with a \
              second-chance clock (0 = unbounded).")
   in
-  let queue_capacity =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:
-            "Bound the admission queue to $(docv) pending requests; excess requests are rejected \
-             with $(b,overloaded) (0 = unbounded).")
-  in
   let max_cost =
     Arg.(
       value & opt int 0
@@ -927,14 +887,6 @@ let serve_t =
           ~doc:
             "Reject requests whose predicted step cost exceeds $(docv) with $(b,oversized) (0 = \
              off).")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline" ] ~docv:"N"
-          ~doc:
-            "Read up to $(docv) requests before draining the admission queue in per-client \
-             fair-share order; responses carry the request $(b,id) for matching.")
   in
   let socket =
     Arg.(
@@ -948,8 +900,8 @@ let serve_t =
          "Run as a long-lived daemon: freeze one PAG, answer newline-delimited JSON requests \
           (query/check/edit/stats/shutdown) with a persistent cross-request summary tier")
     Term.(
-      const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs $ rounds
-      $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
+      const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs
+      $ base_capacity $ max_cost $ socket $ trace_arg)
 
 let run_t =
   Cmd.v

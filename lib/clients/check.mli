@@ -68,11 +68,9 @@ type opts = {
   o_engine : string;  (** registry name; default ["dynsum"] *)
   o_conf : Conf.t;
   o_jobs : int;  (** {!Parsolve} worker domains; default 1 *)
-  o_rounds : int;
   o_base : Dynsum.base option;
       (** external summary tier handed to {!Parsolve.run} (the serve
-          daemon's cross-request store); default [None] — a per-call
-          tier when [o_rounds > 1], none otherwise. Freshness is the
+          daemon's cross-request store); default [None]. Freshness is the
           caller's contract, see {!Parsolve.run}. *)
 }
 

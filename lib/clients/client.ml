@@ -44,11 +44,11 @@ let run (engine : Engine.engine) queries =
     summaries_after = engine.Engine.summary_count ();
   }
 
-let answer ?conf ?trace_writer ?jobs ?rounds ?base ~engine pag queries =
+let answer ?conf ?trace_writer ?jobs ?base ~engine pag queries =
   let qarr =
     Array.of_list (List.map (fun q -> Parsolve.query ~satisfy:q.q_pred q.q_node) queries)
   in
-  let r = Parsolve.run ?conf ?trace_writer ?jobs ?rounds ?base ~engine pag qarr in
+  let r = Parsolve.run ?conf ?trace_writer ?jobs ?base ~engine pag qarr in
   (List.mapi (fun i q -> (q, verdict_of q.q_pred r.Parsolve.outcomes.(i))) queries, r)
 
 let run_batches engine queries ~batches =

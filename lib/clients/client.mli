@@ -45,7 +45,6 @@ val answer :
   ?conf:Conf.t ->
   ?trace_writer:Trace.writer ->
   ?jobs:int ->
-  ?rounds:int ->
   ?base:Dynsum.base ->
   engine:string ->
   Pag.t ->

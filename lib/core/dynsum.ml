@@ -1,11 +1,12 @@
 module Hstack = Pts_util.Hstack
 module Cache = Kernel.Key_tbl
 
-(* Shared base tier: merged summaries of earlier rounds (and, in the
-   serve daemon, earlier requests), keyed structurally
-   ((node, stack symbols, state)) so the table crosses domains without
-   hash-cons rebasing. Workers never write the table — the main domain
-   grows and evicts between rounds, after all workers have joined — so
+(* Shared base tier: merged summaries of earlier batches (in the serve
+   daemon, earlier requests; with [--cache], a saved file), keyed
+   structurally ((node, stack symbols, state)) so the table crosses
+   domains without hash-cons rebasing. Workers never write the table —
+   the main domain grows and evicts between batches, after all workers
+   have joined — so
    plain Hashtbl reads from many domains are safe. The two per-entry
    mutables that workers do touch are race-tolerant by design: hit/miss
    tallies are [Atomic.t], and the clock bit is a plain bool whose only
@@ -231,7 +232,7 @@ let base_add (b : base) (s : snapshot) =
   (* first writer wins, like [absorb_images]: summaries for the same key
      are equal sets (PPTA is deterministic), so keeping the incumbent
      only pins representation. Returns how many keys were new. Must only
-     run while no worker is reading the base (between rounds/requests). *)
+     run while no worker is reading the base (between batches). *)
   let fresh = ref 0 in
   List.iter
     (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->

@@ -72,7 +72,7 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Image of the summaries {e this engine computed itself}: entries
-    memoised from a shared {!base} tier are excluded, so per-round
+    memoised from a shared {!base} tier are excluded, so per-worker
     snapshots in the parallel scheduler count each summary's derivation
     exactly once. Sorted, so the marshalled bytes are independent of
     insertion (and hence scheduling) order. *)
@@ -90,17 +90,14 @@ val snapshot_union : snapshot list -> snapshot
 (** Union of several snapshots, last-writer-wins on identical
     [(node, stack, state)] keys; result is sorted so it does not depend
     on how the entries were distributed across the inputs. The parallel
-    batch scheduler merges per-domain caches with this between rounds. *)
+    batch scheduler merges per-domain caches with this after the join. *)
 
 (** {2 Shared base tier}
 
-    The parallel batch scheduler used to re-absorb the full merged cache
-    into every worker each round — N domains × M summaries of re-interning,
-    all counted again in [merged_summaries]. Instead, the merged summaries
-    of earlier rounds now live in a {!base}: a structurally-keyed table
-    built once on the main domain and shared {e by reference} across
+    Summaries of earlier batches live in a {!base}: a structurally-keyed
+    table built on the main domain and shared {e by reference} across
     worker engines, structurally read-only after {!set_base} (the main
-    domain only grows or evicts between rounds, after every worker has
+    domain only grows or evicts between batches, after every worker has
     joined — the only per-entry mutables workers touch are the atomic
     hit/miss tallies and the clock bit, both race-tolerant). Lookups
     re-intern lazily on first use and memoise into the engine's local
@@ -125,7 +122,7 @@ val base_add : base -> snapshot -> int
     how many keys were new. At capacity, each insertion first evicts the
     next clock victim (an entry that has not been hit since its last
     second chance). Must only be called while no domain is reading the
-    base (between parallel rounds / between serve requests). *)
+    base (between batches / between serve requests). *)
 
 val base_invalidate : base -> Pag.node list -> int * int
 (** [base_invalidate b dirty] drops every entry whose derivation
@@ -142,7 +139,7 @@ val base_capacity : base -> int
 
 val base_hits : base -> int
 (** Lifetime lookup hits against this base, across all attached engines
-    and rounds. *)
+    and batches. *)
 
 val base_misses : base -> int
 (** Lifetime lookups that fell through to a PPTA run (counted only when
@@ -162,7 +159,7 @@ val base_health : t -> int * int * int * int
 
 val new_summary_count : t -> int
 (** Summaries this engine computed itself (excludes base-tier memos) —
-    the per-round "new work" figure the scheduler reports. *)
+    the per-worker "new work" figure the scheduler reports. *)
 
 val save_cache : t -> string -> unit
 (** Write the cache to a file. @raise Sys_error on IO failure. *)

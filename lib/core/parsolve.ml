@@ -6,7 +6,6 @@ type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 let query ?satisfy node = { node; satisfy }
 
 type domain_report = {
-  dr_round : int;
   dr_domain : int;
   dr_queries : int;
   dr_steps : int;
@@ -21,7 +20,6 @@ type result = {
   stats : Stats.t;
   wall_seconds : float;
   jobs : int;
-  rounds : int;
   steals : int;
   predicted_steps : int array;
   actual_steps : int array;
@@ -35,7 +33,7 @@ type result = {
   base_size : int;
 }
 
-(* What one domain hands back from one round. Everything in here is
+(* What one domain hands back. Everything in here is
    either immutable, or mutable state the worker stops touching before
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
@@ -69,8 +67,8 @@ let rebase_outcome = function
 
 (* A worker owns [deques.(self)] (ownership transferred by the main
    domain across [Domain.spawn]) and steals from the fullest peer once its
-   own deque runs dry. Tasks are only ever seeded before the round
-   starts, so "every deque empty" is a stable termination condition —
+   own deque runs dry. Tasks are only ever seeded before the workers
+   start, so "every deque empty" is a stable termination condition —
    [Wsdeque.steal] returning [None] on a lost race just sends the thief
    back to rescan. *)
 let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
@@ -126,10 +124,8 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
   (match trace with Some s -> Trace.close s | None -> ());
   { wr_outcomes = !outs; wr_seconds = seconds; wr_steals = !steals; wr_engine = eng }
 
-let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~engine:engine_name pag
-    queries =
+let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_name pag queries =
   if jobs < 1 then invalid_arg "Parsolve.run: jobs must be >= 1";
-  if rounds < 1 then invalid_arg "Parsolve.run: rounds must be >= 1";
   (match Engine.find engine_name with
   | Some _ -> ()
   | None ->
@@ -140,11 +136,9 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~en
      overlay, if any, is only written by [Pag.apply_edits] between
      batches — never concurrently with a run. [packed] raises before
      [freeze], turning a data race on the build side into an immediate
-     error. A per-call tier below lives within this one call, so an edit
-     between calls can never feed it a stale summary; a caller passing
-     [?base] owns that invariant instead — the serve daemon keeps one
-     tier across requests and runs [Dynsum.base_invalidate] on every edit
-     commit. *)
+     error. A caller passing [?base] owns the tier's freshness — the
+     serve daemon keeps one tier across requests and runs
+     [Dynsum.base_invalidate] on every edit commit. *)
   ignore (Pag.packed pag);
   let n = Array.length queries in
   let outcomes = Array.make n Query.Exceeded in
@@ -153,119 +147,93 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base ~en
   in
   let actual_steps = Array.make n 0 in
   let agg_stats = Stats.create () in
-  let reports = ref [] in
-  let rounds = min rounds (max n 1) in
-  (* The summary tier every DYNSUM worker reads through: the caller's, or
-     — only when a later round can read it — a per-call one. It grows
-     only here, between joins; engines without summaries never see it. *)
-  let tier =
-    match base with
-    | Some _ -> base
-    | None -> if rounds > 1 then Some (Dynsum.base_create ()) else None
-  in
-  (* one lazy snapshot per (round, domain) DYNSUM worker, forced only to
-     publish into the tier or to build the merged pool *)
+  (* one lazy snapshot per DYNSUM worker, forced only to publish into the
+     caller's tier or to build the merged pool *)
   let snaps = ref [] in
   let produced = ref 0 in
-  let total_steals = ref 0 in
-  let (), wall_seconds =
-    Stats.time (fun () ->
-        for round = 0 to rounds - 1 do
-          (* consecutive index chunk per round (batch arrival order) *)
-          let lo = round * n / rounds and hi = (round + 1) * n / rounds in
-          (* cost-model seeding: deal the round's queries round-robin in
-             descending predicted cost, and push each deque's share
-             cheapest-first so the owner pops expensive-first while
-             thieves lift the cheap end — stragglers start earliest and
-             migrate last *)
-          let order = Array.init (hi - lo) (fun k -> lo + k) in
-          Array.sort
-            (fun i j ->
-              match compare predicted_steps.(j) predicted_steps.(i) with
-              | 0 -> compare i j
-              | c -> c)
-            order;
-          let shares = Array.make jobs [] in
-          Array.iteri
-            (fun k i -> shares.(k mod jobs) <- (i, queries.(i)) :: shares.(k mod jobs))
-            order;
-          let deques =
-            Array.map
-              (fun share ->
-                let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
-                List.iter (fun t -> Wsdeque.push dq t) share;
-                dq)
-              shares
-          in
-          let work self = run_worker ~conf ~trace_writer ~engine_name ~pag ~base:tier ~deques ~self in
-          (* one worker runs inline on this domain: its stacks are already
-             interned here, so only spawned workers' outcomes are rebased *)
-          let results, rebase =
-            if jobs = 1 then ([| work 0 () |], Fun.id)
-            else
-              ( Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d))),
-                rebase_outcome )
-          in
-          Array.iteri
-            (fun d wr ->
-              let eng = wr.wr_engine in
-              List.iter
-                (fun (i, o, steps) ->
-                  outcomes.(i) <- rebase o;
-                  actual_steps.(i) <- steps)
-                wr.wr_outcomes;
-              (* summaries this worker computed itself (base-tier memos
-                 excluded); for other engines, the engine's table size *)
-              let summaries =
-                match eng.Engine.summaries with
-                | Some dyn -> Dynsum.new_summary_count dyn
-                | None -> eng.Engine.summary_count ()
-              in
-              Stats.merge_into ~into:agg_stats eng.Engine.stats;
-              total_steals := !total_steals + wr.wr_steals;
-              reports :=
-                {
-                  dr_round = round;
-                  dr_domain = d;
-                  dr_queries = List.length wr.wr_outcomes;
-                  dr_steps = Budget.total_steps eng.Engine.budget;
-                  dr_seconds = wr.wr_seconds;
-                  dr_summaries = summaries;
-                  dr_steals = wr.wr_steals;
-                }
-                :: !reports;
-              match eng.Engine.summaries with
-              | None -> ()
-              | Some dyn ->
-                let snap = lazy (Dynsum.snapshot dyn) in
-                produced := !produced + summaries;
-                snaps := snap :: !snaps;
-                Option.iter (fun b -> ignore (Dynsum.base_add b (Lazy.force snap))) tier)
-            results
-        done)
+  let collect rebase d wr =
+    let eng = wr.wr_engine in
+    List.iter
+      (fun (i, o, steps) ->
+        outcomes.(i) <- rebase o;
+        actual_steps.(i) <- steps)
+      wr.wr_outcomes;
+    Stats.merge_into ~into:agg_stats eng.Engine.stats;
+    (* summaries this worker computed itself (base-tier memos excluded);
+       for other engines, the engine's table size *)
+    let summaries =
+      match eng.Engine.summaries with
+      | None -> eng.Engine.summary_count ()
+      | Some dyn ->
+        let snap = lazy (Dynsum.snapshot dyn) in
+        snaps := snap :: !snaps;
+        Option.iter (fun b -> ignore (Dynsum.base_add b (Lazy.force snap))) base;
+        let k = Dynsum.new_summary_count dyn in
+        produced := !produced + k;
+        k
+    in
+    {
+      dr_domain = d;
+      dr_queries = List.length wr.wr_outcomes;
+      dr_steps = Budget.total_steps eng.Engine.budget;
+      dr_seconds = wr.wr_seconds;
+      dr_summaries = summaries;
+      dr_steals = wr.wr_steals;
+    }
   in
-  if !total_steals > 0 then Stats.add agg_stats "steals" !total_steals;
+  let reports, wall_seconds =
+    Stats.time (fun () ->
+        (* cost-model seeding: deal the queries round-robin in descending
+           predicted cost, and push each deque's share cheapest-first so
+           the owner pops expensive-first while thieves lift the cheap
+           end — stragglers start earliest and migrate last *)
+        let order = Array.init n Fun.id in
+        Array.sort
+          (fun i j ->
+            match compare predicted_steps.(j) predicted_steps.(i) with 0 -> compare i j | c -> c)
+          order;
+        let shares = Array.make jobs [] in
+        Array.iteri (fun k i -> shares.(k mod jobs) <- (i, queries.(i)) :: shares.(k mod jobs)) order;
+        let deques =
+          Array.map
+            (fun share ->
+              let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
+              List.iter (fun t -> Wsdeque.push dq t) share;
+              dq)
+            shares
+        in
+        let work self = run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self in
+        (* one worker runs inline on this domain: its stacks are already
+           interned here, so only spawned workers' outcomes are rebased *)
+        if jobs = 1 then [ collect Fun.id 0 (work 0 ()) ]
+        else
+          Array.init jobs (fun d -> Domain.spawn (work d))
+          |> Array.map Domain.join
+          |> Array.mapi (collect rebase_outcome)
+          |> Array.to_list)
+  in
+  let steals = List.fold_left (fun acc d -> acc + d.dr_steals) 0 reports in
+  if steals > 0 then Stats.add agg_stats "steals" steals;
   let summaries = lazy (Dynsum.snapshot_union (List.rev_map Lazy.force !snaps)) in
   (* a lone worker derived every summary exactly once: no union needed *)
   let unique_summaries =
     match !snaps with [ _ ] -> !produced | _ -> Dynsum.snapshot_length (Lazy.force summaries)
   in
   let to_float a = Array.map float_of_int a in
-  (* a tier only reports when a DYNSUM worker (one snapshot each) read it *)
+  (* the tier only reports when a DYNSUM worker (one snapshot each) read it *)
   let base_hits, base_misses, base_evictions, base_size =
-    match (tier, !snaps) with
+    match (base, !snaps) with
     | Some b, _ :: _ ->
       (Dynsum.base_hits b, Dynsum.base_misses b, Dynsum.base_evictions b, Dynsum.base_length b)
     | _ -> (0, 0, 0, 0)
   in
   {
     outcomes;
-    reports = List.rev !reports;
+    reports;
     stats = agg_stats;
     wall_seconds;
     jobs;
-    rounds;
-    steals = !total_steals;
+    steals;
     predicted_steps;
     actual_steps;
     cost_corr = Costmodel.pearson (to_float predicted_steps) (to_float actual_steps);
@@ -285,7 +253,6 @@ let reports_json r =
        (fun d ->
          Obj
            [
-             ("round", Int d.dr_round);
              ("domain", Int d.dr_domain);
              ("queries", Int d.dr_queries);
              ("steps", Int d.dr_steps);

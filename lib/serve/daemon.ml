@@ -17,25 +17,19 @@ let clients =
 
 type config = {
   c_jobs : int;
-  c_rounds : int;
   c_budget : int;
   c_max_budget : int;
   c_base_capacity : int;
-  c_queue_capacity : int;
   c_max_cost : int;
-  c_pipeline : int;
 }
 
 let default_config =
   {
     c_jobs = 1;
-    c_rounds = 1;
     c_budget = Conf.default.Conf.budget_limit;
     c_max_budget = 0;
     c_base_capacity = 0;
-    c_queue_capacity = 64;
     c_max_cost = 0;
-    c_pipeline = 1;
   }
 
 type t = {
@@ -44,7 +38,6 @@ type t = {
   checkers : Check.checker list;
   base : Dynsum.base;
   incr : Incr.t;
-  admit : Proto.request Admit.t;
   trace : Trace.sink;
   counts : Stats.t;
   mutable latencies_us : int list; (* per served request, newest first *)
@@ -61,7 +54,6 @@ let create ?(config = default_config) ?(trace = Trace.null) ~checkers pl =
     checkers;
     base;
     incr;
-    admit = Admit.create ~capacity:config.c_queue_capacity ~max_cost:config.c_max_cost ();
     trace;
     counts = Stats.create ();
     latencies_us = [];
@@ -75,10 +67,10 @@ let find_checker t name =
   let want = String.lowercase_ascii name in
   List.find_opt (fun ck -> String.lowercase_ascii ck.Check.ck_name = want) t.checkers
 
-(* Admission-time cost estimate: the same per-node Andersen prediction
-   that seeds the work-stealing deques, summed over the request's query
-   roots. Requests the daemon will reject anyway (unknown client/engine)
-   predict 0 and fail later with a better error. *)
+(* Read-time cost estimate for [c_max_cost]: the same per-node Andersen
+   prediction that seeds the work-stealing deques, summed over the
+   request's query roots. Requests the daemon will reject anyway (unknown
+   client/engine) predict 0 and fail later with a better error. *)
 let predicted_cost t rq =
   let sum_nodes ~prune nodes =
     List.fold_left (fun acc n -> acc + Costmodel.predict ~prune t.pl.Pipeline.pag n) 0 nodes
@@ -147,7 +139,7 @@ let run_query t ~client ~engine ~prune ~budget =
   in
   let verdicts, r =
     Client.answer ~conf:(Engine.conf ~budget_limit ~prune ()) ~jobs:t.cfg.c_jobs
-      ~rounds:t.cfg.c_rounds ~base:t.base ~engine t.pl.Pipeline.pag (queries_of t.pl)
+      ~base:t.base ~engine t.pl.Pipeline.pag (queries_of t.pl)
   in
   Ok
     [
@@ -179,7 +171,6 @@ let run_check t ~names ~engine ~prune ~budget =
       Check.o_engine = engine;
       o_conf = Engine.conf ~budget_limit ~prune ();
       o_jobs = t.cfg.c_jobs;
-      o_rounds = t.cfg.c_rounds;
       o_base = Some t.base;
     }
   in
@@ -195,8 +186,18 @@ let run_check t ~names ~engine ~prune ~budget =
       ("base", base_json t);
     ]
 
+(* The burst is generated in full before it is applied, so its size is
+   bounded by the graph: no burst can need more edits than the PAG has
+   edges. *)
 let run_edit t ~edits ~seed =
+  let c = Pag.edge_counts t.pl.Pipeline.pag in
+  let edges =
+    c.Pag.n_new + c.Pag.n_assign + c.Pag.n_load + c.Pag.n_store + c.Pag.n_entry + c.Pag.n_exit
+    + c.Pag.n_assign_global
+  in
   if edits <= 0 then Error ("bad_request", "edits must be positive")
+  else if edits > edges then
+    Error ("bad_request", Printf.sprintf "edits %d exceeds the PAG's %d edges" edits edges)
   else begin
     let rng = Pts_util.Prng.create seed in
     let burst = Pts_workload.Editscript.burst rng t.pl.Pipeline.pag ~n:edits in
@@ -250,12 +251,8 @@ let run_stats t =
       ( "admission",
         J.Obj
           [
-            ("accepted", J.Int (Admit.accepted t.admit));
-            ("rejected_oversized", J.Int (Admit.rejected_oversized t.admit));
-            ("rejected_overloaded", J.Int (Admit.rejected_overloaded t.admit));
-            ("pending", J.Int (Admit.pending t.admit));
-            ("queue_capacity", J.Int (Admit.capacity t.admit));
-            ("max_request_cost", J.Int (Admit.max_cost t.admit));
+            ("rejected_oversized", J.Int (get "rejected_oversized"));
+            ("max_request_cost", J.Int t.cfg.c_max_cost);
           ] );
       ("base", base_json t);
       ("latency", latency_json t);
@@ -294,47 +291,41 @@ let respond oc j =
   output_char oc '\n';
   flush oc
 
-let admit_one t oc line =
-  match Proto.of_line line with
-  | Error (code, msg) -> respond oc (Proto.error ~id:J.Null code msg)
-  | Ok rq -> (
-    match Admit.submit t.admit ~client:rq.Proto.rq_client ~cost:(predicted_cost t rq) rq with
-    | Ok () -> ()
-    | Error (code, msg) -> respond oc (Proto.error ~id:rq.Proto.rq_id code msg))
-
-let drain t oc =
-  let rec go () =
-    match Admit.next t.admit with
-    | None -> ()
-    | Some rq ->
-      if t.shutdown then
-        respond oc (Proto.error ~id:rq.Proto.rq_id "shutting_down" "daemon is shutting down")
-      else respond oc (handle t rq);
-      go ()
-  in
-  go ()
+(* [c_max_cost] guards the loop against outside requests too dear to
+   answer: checked after decoding, before anything runs. *)
+let oversized t rq =
+  if t.cfg.c_max_cost <= 0 then None
+  else
+    let cost = predicted_cost t rq in
+    if cost <= t.cfg.c_max_cost then None
+    else begin
+      Stats.bump t.counts "rejected_oversized";
+      Some
+        (Printf.sprintf "predicted cost %d exceeds the per-request ceiling %d" cost t.cfg.c_max_cost)
+    end
 
 let serve_channel t ic oc =
-  (* Read up to [c_pipeline] requests ahead, then drain the admission
-     queue in fair-share order. With the default of 1 this is a strict
-     serial request/response loop (what the smoke tests script); larger
-     windows exercise the bounded queue and fair share for pipelined
-     clients, with responses matched by [id]. *)
-  let window = max 1 t.cfg.c_pipeline in
-  let eof = ref false in
-  while not (!eof || t.shutdown) do
-    let filled = ref 0 in
-    while (not !eof) && !filled < window && not t.shutdown do
+  let rec loop () =
+    if not t.shutdown then
       match input_line ic with
-      | exception End_of_file -> eof := true
-      | "" -> ()
+      | exception End_of_file -> ()
+      | "" -> loop ()
       | line ->
-        incr filled;
-        admit_one t oc line
-    done;
-    drain t oc
-  done;
-  drain t oc
+        respond oc
+          (match J.of_string line with
+          | Error msg -> Proto.error ~id:J.Null "parse_error" msg
+          | Ok j -> (
+            (* a request that parses but does not decode still gets its id *)
+            match Proto.of_json j with
+            | Error (code, msg) ->
+              Proto.error ~id:(Option.value ~default:J.Null (J.member "id" j)) code msg
+            | Ok rq -> (
+              match oversized t rq with
+              | Some msg -> Proto.error ~id:rq.Proto.rq_id "oversized" msg
+              | None -> handle t rq)));
+        loop ()
+  in
+  loop ()
 
 let serve_socket t path =
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

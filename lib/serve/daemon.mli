@@ -18,18 +18,16 @@
 
 type config = {
   c_jobs : int;  (** {!Parsolve} worker domains per request *)
-  c_rounds : int;
   c_budget : int;  (** default per-query step budget *)
   c_max_budget : int;  (** per-request budget ceiling; 0 = no ceiling *)
   c_base_capacity : int;  (** cross-request tier entries; 0 = unbounded *)
-  c_queue_capacity : int;  (** admission queue depth; 0 = unbounded *)
-  c_max_cost : int;  (** predicted-cost ceiling; 0 = off *)
-  c_pipeline : int;  (** requests read ahead before draining *)
+  c_max_cost : int;
+      (** predicted-cost ceiling {!serve_channel} applies before a request
+          runs; 0 = off *)
 }
 
 val default_config : config
-(** jobs 1, rounds 1, budget {!Conf.default}, no ceilings,
-    queue capacity 64, pipeline window 1. *)
+(** jobs 1, budget {!Conf.default}, no ceilings. *)
 
 val clients : (string * (string * (Pts_clients.Pipeline.t -> Pts_clients.Client.query list))) list
 (** Query-set clients a [query] request can name, keyed by the same
@@ -59,10 +57,10 @@ val handle : t -> Proto.request -> Trace.Json.t
     percentile pool [stats] reports). *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
-(** Newline-delimited JSON loop: read up to [c_pipeline] requests,
-    admission-check each ({!Admit}), drain in fair-share order, answer
-    one line per request. Returns on EOF or after a [shutdown] request
-    (queued requests behind it are answered with ["shutting_down"]). *)
+(** Newline-delimited JSON loop: read one line, decode it, answer one
+    line, in input order; a decode error echoes the request's [id]. A request whose predicted cost exceeds
+    [c_max_cost] gets ["oversized"] without running. Returns on EOF or
+    after answering a [shutdown] request. *)
 
 val serve_socket : t -> string -> unit
 (** Same loop over a Unix-domain socket at the given path (unlinked and

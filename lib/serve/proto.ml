@@ -7,7 +7,7 @@ type op =
   | Stats
   | Shutdown
 
-type request = { rq_id : J.t; rq_client : string; rq_op : op }
+type request = { rq_id : J.t; rq_op : op }
 
 let op_name = function
   | Query _ -> "query"
@@ -18,42 +18,58 @@ let op_name = function
 
 (* ----------------------------- decoding ----------------------------- *)
 
-let str_member k j = match J.member k j with Some (J.String s) -> Some s | _ -> None
-let int_member k j = match J.member k j with Some (J.Int i) -> Some i | _ -> None
-let bool_member k j = match J.member k j with Some (J.Bool b) -> Some b | _ -> None
+(* An absent field is [None]; a present one of the wrong type is a bad
+   request naming the field, never silently replaced by a default. *)
+let field k ~what conv j =
+  match J.member k j with
+  | None -> Ok None
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok (Some x)
+    | None -> Error ("bad_request", Printf.sprintf "%S must be %s" k what))
+
+let str k = field k ~what:"a string" (function J.String s -> Some s | _ -> None)
+let int k = field k ~what:"an integer" (function J.Int i -> Some i | _ -> None)
+let bool k = field k ~what:"a boolean" (function J.Bool b -> Some b | _ -> None)
+
+let strings k =
+  field k ~what:"a list of strings" (function
+    | J.List xs ->
+      List.fold_right
+        (fun x acc -> match (x, acc) with J.String s, Some l -> Some (s :: l) | _ -> None)
+        xs (Some [])
+    | _ -> None)
+
+let default d = Result.map (Option.value ~default:d)
+let ( let* ) = Result.bind
 
 let of_json j =
   match J.member "op" j with
   | None -> Error ("bad_request", "missing \"op\"")
   | Some (J.String opname) -> (
     let id = Option.value ~default:J.Null (J.member "id" j) in
-    let client_id = Option.value ~default:"default" (str_member "client_id" j) in
-    let engine = Option.value ~default:"dynsum" (str_member "engine" j) in
-    let prune = Option.value ~default:false (bool_member "prune" j) in
-    let budget = int_member "budget" j in
-    let mk op = Ok { rq_id = id; rq_client = client_id; rq_op = op } in
+    let mk op = Ok { rq_id = id; rq_op = op } in
+    let engine_conf () =
+      let* engine = str "engine" j |> default "dynsum" in
+      let* prune = bool "prune" j |> default false in
+      let* budget = int "budget" j in
+      Ok (engine, prune, budget)
+    in
     match opname with
     | "query" -> (
-      match str_member "client" j with
+      let* client = str "client" j in
+      let* engine, prune, budget = engine_conf () in
+      match client with
       | None -> Error ("bad_request", "query needs a \"client\"")
       | Some client -> mk (Query { client; engine; prune; budget }))
-    | "check" -> (
-      match J.member "checkers" j with
-      | None -> mk (Check { checkers = []; engine; prune; budget })
-      | Some (J.List xs) -> (
-        match
-          List.map (function J.String s -> s | _ -> raise Exit) xs
-        with
-        | names -> mk (Check { checkers = names; engine; prune; budget })
-        | exception Exit -> Error ("bad_request", "\"checkers\" must be a list of strings"))
-      | Some _ -> Error ("bad_request", "\"checkers\" must be a list of strings"))
+    | "check" ->
+      let* checkers = strings "checkers" j |> default [] in
+      let* engine, prune, budget = engine_conf () in
+      mk (Check { checkers; engine; prune; budget })
     | "edit" ->
-      mk
-        (Edit
-           {
-             edits = Option.value ~default:8 (int_member "edits" j);
-             seed = Option.value ~default:1 (int_member "seed" j);
-           })
+      let* edits = int "edits" j |> default 8 in
+      let* seed = int "seed" j |> default 1 in
+      mk (Edit { edits; seed })
     | "stats" -> mk Stats
     | "shutdown" -> mk Shutdown
     | other -> Error ("bad_request", Printf.sprintf "unknown op %S" other))

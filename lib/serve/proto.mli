@@ -1,9 +1,9 @@
 (** Wire protocol of the serve daemon.
 
     One JSON object per line in, one per line out. Every request may
-    carry an [id] (echoed verbatim in the response, so pipelined clients
-    can match answers to questions) and a [client_id] (the admission
-    controller's fair-share key). Operations:
+    carry an [id] (echoed verbatim in the response). Unknown fields are
+    ignored; a known field of the wrong type is a ["bad_request"] naming
+    the field. Operations:
 
     - [{"op":"query","client":"safecast","engine":"dynsum","prune":false,
        "budget":75000}] — run a client's query set; the response embeds
@@ -19,8 +19,7 @@
 
     Failures are structured: [{"id":...,"ok":false,"error":{"code":C,
     "msg":M}}] with codes ["parse_error"], ["bad_request"],
-    ["oversized"], ["overloaded"], ["budget_too_large"],
-    ["shutting_down"]. *)
+    ["oversized"] and ["budget_too_large"]. *)
 
 type op =
   | Query of { client : string; engine : string; prune : bool; budget : int option }
@@ -32,7 +31,6 @@ type op =
 
 type request = {
   rq_id : Trace.Json.t;  (** echoed back; [Null] when the client sent none *)
-  rq_client : string;  (** fair-share key; ["default"] when absent *)
   rq_op : op;
 }
 

@@ -1,5 +1,5 @@
 (* Determinism and equivalence of the parallel batch scheduler (Parsolve):
-   sharding a batch across domains, at any jobs/rounds setting, must
+   sharding a batch across domains, at any jobs setting, must
    return exactly the sequential engine's answers; merging per-domain
    DYNSUM caches must never change an answer; traces written through the
    shared writer must interleave whole lines only.
@@ -58,27 +58,13 @@ let test_engine_jobs_equal engine_name () =
         [ 1; 2; 4 ])
     [ false; true ]
 
-let test_rounds_equal () =
-  let pl = Lazy.force pl in
-  let seq = Engine.create ~conf "dynsum" pl.Pipeline.pag in
-  let expected =
-    List.map (fun q -> seq.Engine.points_to q.Client.q_node) (Lazy.force queries)
-  in
-  let r = Parsolve.run ~conf ~jobs:2 ~rounds:3 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
-  Alcotest.(check bool) "summaries were merged" true (r.Parsolve.merged_summaries > 0);
-  Alcotest.(check int) "one report per (round, domain)" 6 (List.length r.Parsolve.reports);
-  List.iteri
-    (fun i expect ->
-      if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
-        Alcotest.failf "dynsum: query %d differs from sequential at jobs=2 rounds=3" i)
-    expected
-
 (* ----------------------- scheduler accounting ----------------------------- *)
 
 let test_steal_accounting () =
   let pl = Lazy.force pl in
   let n = Array.length (qarr ()) in
-  let r = Parsolve.run ~conf ~jobs:4 ~rounds:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  let r = Parsolve.run ~conf ~jobs:4 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  Alcotest.(check int) "one report per domain" 4 (List.length r.Parsolve.reports);
   Alcotest.(check int) "one prediction per query" n (Array.length r.Parsolve.predicted_steps);
   Alcotest.(check int) "one actual cost per query" n (Array.length r.Parsolve.actual_steps);
   Array.iter
@@ -188,12 +174,12 @@ let test_cache_bytes_schedule_independent () =
       Dynsum.save_cache half path;
       same (Printf.sprintf "jobs=%d warm" jobs) (cached_run ~jobs path))
     [ 1; 2; 4 ];
-  (* a jobs=2 rounds=2 pool, saved without a file tier, matches too *)
-  let r = Parsolve.run ~conf ~jobs:2 ~rounds:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  (* a jobs=2 pool, saved without a file tier, matches too *)
+  let r = Parsolve.run ~conf ~jobs:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
   Dynsum.save_snapshot pl.Pipeline.pag (Lazy.force r.Parsolve.summaries) path;
   let b = read_file path in
   Sys.remove path;
-  same "jobs=2 rounds=2" b
+  same "jobs=2 pool" b
 
 (* ------------------------- trace line integrity --------------------------- *)
 
@@ -244,9 +230,6 @@ let test_run_validations () =
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Parsolve.run: jobs must be >= 1") (fun () ->
       ignore (Parsolve.run ~jobs:0 ~engine:"dynsum" pl.Pipeline.pag [||]));
-  Alcotest.check_raises "rounds must be positive"
-    (Invalid_argument "Parsolve.run: rounds must be >= 1") (fun () ->
-      ignore (Parsolve.run ~rounds:0 ~engine:"dynsum" pl.Pipeline.pag [||]));
   (match Parsolve.run ~engine:"nosuch" pl.Pipeline.pag [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown engine accepted");
@@ -262,8 +245,7 @@ let () =
         List.map
           (fun name ->
             Alcotest.test_case (name ^ " jobs 1/2/4") `Quick (test_engine_jobs_equal name))
-          (Engine.names ())
-        @ [ Alcotest.test_case "dynsum jobs=2 rounds=3" `Quick test_rounds_equal ] );
+          (Engine.names ()) );
       ( "scheduler",
         [
           Alcotest.test_case "steal accounting" `Quick test_steal_accounting;

@@ -1,4 +1,4 @@
-(* The serve daemon: wire protocol, admission control, the
+(* The serve daemon: wire protocol and its boundary checks, the
    cross-request summary tier (bounded eviction + epoch-keyed
    invalidation), and the line loop end to end.
 
@@ -8,7 +8,6 @@
 
 module J = Pts_core.Trace.Json
 module Proto = Pts_serve.Proto
-module Admit = Pts_serve.Admit
 module Daemon = Pts_serve.Daemon
 module Pipeline = Pts_clients.Pipeline
 module G = Pts_workload.Genprog
@@ -45,7 +44,7 @@ let checkers () = Pts_taint.Registry.all ()
 
 let daemon ?config () = Daemon.create ?config ~checkers:(checkers ()) (pipeline ())
 
-let mk ?(id = J.Null) ?(client = "test") op = { Proto.rq_id = id; rq_client = client; rq_op = op }
+let mk ?(id = J.Null) op = { Proto.rq_id = id; rq_op = op }
 
 let query ?budget ?(engine = "dynsum") ?(prune = false) client =
   mk (Proto.Query { client; engine; prune; budget })
@@ -59,6 +58,11 @@ let error_code j =
   match J.member "error" j with
   | Some e -> ( match J.member "code" e with Some (J.String c) -> c | _ -> "?")
   | None -> "?"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
 
 let int_field k j =
   match J.member k j with Some (J.Int n) -> n | _ -> Alcotest.failf "missing int %S in %s" k (J.to_string j)
@@ -110,15 +114,16 @@ let test_json_errors () =
 
 let test_proto_decode () =
   (match Proto.of_line "{\"op\":\"query\",\"client\":\"safecast\",\"id\":7}" with
-  | Ok { Proto.rq_id = J.Int 7; rq_client = "default"; rq_op = Proto.Query q } ->
+  | Ok { Proto.rq_id = J.Int 7; rq_op = Proto.Query q } ->
     Alcotest.(check string) "client" "safecast" q.client;
     Alcotest.(check string) "engine default" "dynsum" q.engine;
     Alcotest.(check bool) "prune default" false q.prune;
     Alcotest.(check bool) "budget default" true (q.budget = None)
   | Ok _ -> Alcotest.fail "decoded shape"
   | Error (c, m) -> Alcotest.failf "decode: %s %s" c m);
+  (* an unknown field, [client_id] included, is ignored *)
   (match Proto.of_line "{\"op\":\"edit\",\"edits\":3,\"seed\":9,\"client_id\":\"a\"}" with
-  | Ok { Proto.rq_client = "a"; rq_op = Proto.Edit { edits = 3; seed = 9 }; _ } -> ()
+  | Ok { Proto.rq_op = Proto.Edit { edits = 3; seed = 9 }; _ } -> ()
   | _ -> Alcotest.fail "edit decode");
   (match Proto.of_line "not json" with
   | Error ("parse_error", _) -> ()
@@ -127,35 +132,31 @@ let test_proto_decode () =
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "unknown op must be bad_request"
 
-(* ------------------------------------------------------------------ *)
-(* Admit                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_admit_fair_share () =
-  let a = Admit.create () in
-  let ok l = Alcotest.(check bool) l true in
-  ok "A1" (Admit.submit a ~client:"A" ~cost:1 "A1" = Ok ());
-  ok "A2" (Admit.submit a ~client:"A" ~cost:1 "A2" = Ok ());
-  ok "A3" (Admit.submit a ~client:"A" ~cost:1 "A3" = Ok ());
-  ok "B1" (Admit.submit a ~client:"B" ~cost:1 "B1" = Ok ());
-  let order = List.init 4 (fun _ -> Option.get (Admit.next a)) in
-  (* round-robin across clients, FIFO within: A's flood only delays A *)
-  Alcotest.(check (list string)) "drain order" [ "A1"; "B1"; "A2"; "A3" ] order;
-  Alcotest.(check bool) "idle" true (Admit.next a = None)
-
-let test_admit_capacity_and_cost () =
-  let a = Admit.create ~capacity:2 ~max_cost:10 () in
-  Alcotest.(check bool) "fits" true (Admit.submit a ~client:"A" ~cost:10 1 = Ok ());
-  (match Admit.submit a ~client:"A" ~cost:11 2 with
-  | Error ("oversized", _) -> ()
-  | _ -> Alcotest.fail "cost above ceiling must be oversized");
-  Alcotest.(check bool) "fits2" true (Admit.submit a ~client:"B" ~cost:1 3 = Ok ());
-  (match Admit.submit a ~client:"C" ~cost:1 4 with
-  | Error ("overloaded", _) -> ()
-  | _ -> Alcotest.fail "full queue must be overloaded");
-  Alcotest.(check int) "accepted" 2 (Admit.accepted a);
-  Alcotest.(check int) "oversized" 1 (Admit.rejected_oversized a);
-  Alcotest.(check int) "overloaded" 1 (Admit.rejected_overloaded a)
+(* A known field of the wrong type must be rejected with a message that
+   names it, never replaced by its default: an ill-typed [edits] must not
+   apply a default burst to the live graph. *)
+let test_proto_ill_typed_fields () =
+  List.iter
+    (fun (line, field) ->
+      match Proto.of_line line with
+      | Error ("bad_request", msg) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: message names %S (%s)" line field msg)
+          true
+          (contains msg (Printf.sprintf "%S" field))
+      | Ok _ -> Alcotest.failf "%s decoded" line
+      | Error (c, m) -> Alcotest.failf "%s: %s %s" line c m)
+    [
+      ({|{"op":"query","client":"safecast","engine":3}|}, "engine");
+      ({|{"op":"query","client":7}|}, "client");
+      ({|{"op":"query","client":"safecast","budget":1.5}|}, "budget");
+      ({|{"op":"query","client":"safecast","budget":"10"}|}, "budget");
+      ({|{"op":"query","client":"safecast","budget":99999999999999999999999}|}, "budget");
+      ({|{"op":"check","prune":"yes"}|}, "prune");
+      ({|{"op":"check","checkers":["nullderef",1]}|}, "checkers");
+      ({|{"op":"edit","edits":"many"}|}, "edits");
+      ({|{"op":"edit","edits":2,"seed":null}|}, "seed");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemon request handling                                             *)
@@ -171,11 +172,6 @@ let test_bad_requests () =
   (match J.member "error" (Daemon.handle d (query ~engine:"nosuch" "safecast")) with
   | Some e ->
     let msg = match J.member "msg" e with Some (J.String m) -> m | _ -> "" in
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      m = 0 || go 0
-    in
     List.iter
       (fun n ->
         Alcotest.(check bool) (Printf.sprintf "lists %s" n) true (contains msg n))
@@ -187,6 +183,28 @@ let test_bad_requests () =
   Alcotest.(check string) "budget ceiling" "budget_too_large"
     (error_code (Daemon.handle d2 (query ~budget:1000 "safecast")));
   Alcotest.(check bool) "at ceiling ok" true (is_ok (Daemon.handle d2 (query ~budget:100 "safecast")))
+
+(* [edits] is bounded by the PAG's edge total and checked before any
+   edit is generated: an absurd burst is refused at once and leaves the
+   graph at epoch 0. *)
+let test_edit_bound () =
+  let d = daemon () in
+  let edges =
+    let c = Pag.edge_counts (pipeline ()).Pipeline.pag in
+    Pag.(c.n_new + c.n_assign + c.n_load + c.n_store + c.n_entry + c.n_exit + c.n_assign_global)
+  in
+  Alcotest.(check string) "one past the edge total" "bad_request"
+    (error_code (Daemon.handle d (mk (Proto.Edit { edits = edges + 1; seed = 1 }))));
+  let resp, seconds =
+    Pts_util.Stats.time (fun () -> Daemon.handle d (mk (Proto.Edit { edits = 100_000_000; seed = 1 })))
+  in
+  Alcotest.(check string) "over-bound edits" "bad_request" (error_code resp);
+  Alcotest.(check bool) "refused in under a second" true (seconds < 1.0);
+  Alcotest.(check string) "zero edits" "bad_request"
+    (error_code (Daemon.handle d (mk (Proto.Edit { edits = 0; seed = 1 }))));
+  let q = Daemon.handle d (query "safecast") in
+  Alcotest.(check bool) "still serving" true (is_ok q);
+  Alcotest.(check int) "graph untouched" 0 (int_field "epoch" q)
 
 let test_stats_and_shutdown () =
   let d = daemon () in
@@ -277,16 +295,12 @@ let test_edit_invalidation () =
 (* The line loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_serve_channel () =
-  let d = daemon () in
+(* Run [serve_channel] over the given request lines; the response lines. *)
+let serve_lines d lines =
   let infile = Filename.temp_file "serve_in" ".jsonl" in
   let outfile = Filename.temp_file "serve_out" ".jsonl" in
   let oc = open_out infile in
-  output_string oc
-    "{\"op\":\"stats\",\"id\":1}\n\
-     {\"op\":\"query\",\"client\":\"safecast\",\"id\":2}\n\
-     this is not json\n\
-     {\"op\":\"shutdown\",\"id\":3}\n";
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
   let ic = open_in infile in
   let oc = open_out outfile in
@@ -294,57 +308,97 @@ let test_serve_channel () =
   close_in ic;
   close_out oc;
   let ic = open_in outfile in
-  let lines = ref [] in
+  let out = ref [] in
   (try
      while true do
-       lines := input_line ic :: !lines
+       out := input_line ic :: !out
      done
    with End_of_file -> ());
   close_in ic;
   Sys.remove infile;
   Sys.remove outfile;
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one response per request" 4 (List.length lines);
-  let parse l = match J.of_string l with Ok v -> v | Error e -> Alcotest.failf "response %S: %s" l e in
+  List.rev !out
+
+let parse l = match J.of_string l with Ok v -> v | Error e -> Alcotest.failf "response %S: %s" l e
+
+let test_serve_channel () =
+  let d = daemon () in
+  let lines =
+    serve_lines d
+      [
+        {|{"op":"stats","id":1}|};
+        {|{"op":"query","client":"safecast","id":2}|};
+        "this is not json";
+        {|{"op":"edit","edits":"many","id":"bad"}|};
+        {|{"op":"shutdown","id":3}|};
+        {|{"op":"stats","id":4}|};
+      ]
+  in
+  Alcotest.(check int) "one response per request, none after shutdown" 5 (List.length lines);
   let r = List.map parse lines in
   Alcotest.(check bool) "stats answered" true (is_ok (List.nth r 0));
   Alcotest.(check string) "id echoed" "1" (member_str "id" (List.nth r 0));
   Alcotest.(check bool) "query answered" true (is_ok (List.nth r 1));
   Alcotest.(check string) "garbage rejected" "parse_error" (error_code (List.nth r 2));
-  Alcotest.(check bool) "shutdown acknowledged" true (is_ok (List.nth r 3));
+  Alcotest.(check string) "ill-typed rejected" "bad_request" (error_code (List.nth r 3));
+  Alcotest.(check string) "id echoed on a decode error" {|"bad"|} (member_str "id" (List.nth r 3));
+  Alcotest.(check bool) "shutdown acknowledged" true (is_ok (List.nth r 4));
   Alcotest.(check bool) "loop stopped" true (Daemon.shutting_down d)
+
+(* A [client_id] buys nothing: requests are answered strictly in input
+   order, whoever sent them. *)
+let test_serve_channel_input_order () =
+  let d = daemon () in
+  let clients = [ "a"; "a"; "a"; "b"; "a"; "b" ] in
+  let lines =
+    List.mapi
+      (fun i c ->
+        Printf.sprintf {|{"op":"query","client":"safecast","client_id":%S,"id":%d}|} c i)
+      clients
+  in
+  let r = List.map parse (serve_lines d lines) in
+  Alcotest.(check (list string))
+    "ids in input order"
+    (List.mapi (fun i _ -> string_of_int i) clients)
+    (List.map (member_str "id") r);
+  Alcotest.(check bool) "all answered" true (List.for_all is_ok r)
+
+(* [c_max_cost] rejects a dear request before it runs, and the loop
+   keeps serving the cheap ones behind it. *)
+let test_serve_channel_oversized () =
+  let d = daemon ~config:{ Daemon.default_config with Daemon.c_max_cost = 1 } () in
+  let r =
+    List.map parse
+      (serve_lines d
+         [
+           {|{"op":"query","client":"safecast","id":1}|};
+           {|{"op":"stats","id":2}|};
+           {|{"op":"shutdown","id":3}|};
+         ])
+  in
+  Alcotest.(check int) "three responses" 3 (List.length r);
+  Alcotest.(check string) "dear query oversized" "oversized" (error_code (List.nth r 0));
+  Alcotest.(check string) "id echoed" "1" (member_str "id" (List.nth r 0));
+  let st = List.nth r 1 in
+  Alcotest.(check bool) "stats still answered" true (is_ok st);
+  let adm = Option.get (J.member "admission" st) in
+  Alcotest.(check int) "counted" 1 (int_field "rejected_oversized" adm);
+  Alcotest.(check int) "ceiling reported" 1 (int_field "max_request_cost" adm);
+  Alcotest.(check int) "the query never ran" 0 (int_field "query" (Option.get (J.member "requests" st)));
+  Alcotest.(check bool) "shutdown answered" true (is_ok (List.nth r 2))
 
 (* Verdict objects from the loop must match direct [handle] calls byte
    for byte on a daemon in the same state (the loop adds nothing; the
    envelope's wall_seconds is the one timing-bearing field). *)
 let test_serve_channel_bytes_match_handle () =
-  let line = "{\"op\":\"query\",\"client\":\"nullderef\",\"engine\":\"dynsum\"}" in
-  let via_channel =
-    let d = daemon () in
-    let infile = Filename.temp_file "serve_in" ".jsonl" in
-    let outfile = Filename.temp_file "serve_out" ".jsonl" in
-    let oc = open_out infile in
-    output_string oc (line ^ "\n");
-    close_out oc;
-    let ic = open_in infile in
-    let oc = open_out outfile in
-    Daemon.serve_channel d ic oc;
-    close_in ic;
-    close_out oc;
-    let ic = open_in outfile in
-    let l = input_line ic in
-    close_in ic;
-    Sys.remove infile;
-    Sys.remove outfile;
-    l
-  in
+  let line = {|{"op":"query","client":"nullderef","engine":"dynsum"}|} in
+  let channel_json = parse (List.hd (serve_lines (daemon ()) [ line ])) in
   let via_handle =
     let d = daemon () in
     match Proto.of_line line with
     | Ok rq -> Daemon.handle d rq
     | Error _ -> Alcotest.fail "decode"
   in
-  let channel_json = match J.of_string via_channel with Ok v -> v | Error e -> Alcotest.failf "parse: %s" e in
   Alcotest.(check string) "loop == handle verdict bytes" (member_str "verdicts" via_handle)
     (member_str "verdicts" channel_json);
   Alcotest.(check string) "same epoch" (member_str "epoch" via_handle) (member_str "epoch" channel_json)
@@ -358,15 +412,15 @@ let () =
           Alcotest.test_case "numbers and escapes" `Quick test_json_numbers_and_escapes;
           Alcotest.test_case "errors carry offsets" `Quick test_json_errors;
         ] );
-      ("proto", [ Alcotest.test_case "decode" `Quick test_proto_decode ]);
-      ( "admit",
+      ( "proto",
         [
-          Alcotest.test_case "fair share" `Quick test_admit_fair_share;
-          Alcotest.test_case "capacity and cost" `Quick test_admit_capacity_and_cost;
+          Alcotest.test_case "decode" `Quick test_proto_decode;
+          Alcotest.test_case "ill-typed fields" `Quick test_proto_ill_typed_fields;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "bad requests" `Quick test_bad_requests;
+          Alcotest.test_case "edit bound" `Quick test_edit_bound;
           Alcotest.test_case "stats and shutdown" `Quick test_stats_and_shutdown;
           Alcotest.test_case "check" `Quick test_check_request;
         ] );
@@ -378,6 +432,8 @@ let () =
       ( "loop",
         [
           Alcotest.test_case "serve_channel" `Quick test_serve_channel;
+          Alcotest.test_case "input order across client ids" `Quick test_serve_channel_input_order;
+          Alcotest.test_case "oversized rejected, loop continues" `Quick test_serve_channel_oversized;
           Alcotest.test_case "loop bytes == handle bytes" `Quick test_serve_channel_bytes_match_handle;
         ] );
     ]

@@ -125,14 +125,16 @@ smoke-incr:
 
 # The daemon end to end: a scripted request mix (query, full check, an
 # ill-typed and an over-bound edit, a real edit burst, the query again
-# post-edit, stats, shutdown) piped through `ptsto serve` on stdin. The
-# embedded verdicts/report objects must equal the one-shot CLI's
-# --verdicts-json / --report-json outputs, both bad edits must be
-# refused with bad_request without touching the graph, and the real
-# edit must bump the epoch to 1, which every later response carries.
+# post-edit, stats, shutdown) piped through `ptsto serve --trace` on
+# stdin. The embedded verdicts/report objects must equal the one-shot
+# CLI's --verdicts-json / --report-json outputs, both bad edits must be
+# refused with bad_request without touching the graph or the served
+# counts, and the real edit must bump the epoch to 1, which every later
+# response carries. Every trace line must parse, with exactly one
+# request_latency line per request answered ok.
 smoke-serve:
 	printf '{"op":"query","client":"safecast","id":1}\n{"op":"check","id":2}\n{"op":"edit","edits":"many","id":"ill-typed"}\n{"op":"edit","edits":100000000,"id":"over-bound"}\n{"op":"edit","edits":4,"seed":7,"id":3}\n{"op":"query","client":"safecast","id":4}\n{"op":"stats","id":5}\n{"op":"shutdown","id":6}\n' \
-	  | $(DUNE) exec bin/ptsto.exe -- serve --bench jack > /tmp/ptsto_serve_out.jsonl
+	  | $(DUNE) exec bin/ptsto.exe -- serve --bench jack --trace /tmp/ptsto_serve_trace.jsonl > /tmp/ptsto_serve_out.jsonl
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --verdicts-json \
 	  | tail -n 1 > /tmp/ptsto_serve_ref_verdicts.json
 	$(DUNE) exec bin/ptsto.exe -- check --bench jack --fail-on never --report-json \
@@ -148,7 +150,13 @@ smoke-serve:
 	  assert resp[4]["ok"] and resp[4]["epoch"] == 1, resp[4]; \
 	  assert resp[5]["ok"] and resp[6]["ok"], (resp[5], resp[6]); \
 	  assert resp[5]["base"]["size"] > 0, resp[5]; \
-	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit")'
+	  assert resp[5]["requests"]["edit"] == 1, resp[5]; \
+	  assert resp[5]["admission"]["rejected_bad_request"] == 2, resp[5]; \
+	  t=[json.loads(l) for l in open("/tmp/ptsto_serve_trace.jsonl")]; \
+	  lat=[x for x in t if x["ev"] == "request_latency"]; \
+	  answered=sum(1 for x in resp.values() if x["ok"]); \
+	  assert len(lat) == answered == 6, (len(lat), answered); \
+	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit,", len(lat), "request_latency lines")'
 
 check: build test smoke smoke-parallel smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
 

@@ -181,7 +181,7 @@ let table1 () =
         lr_jumps = [];
       }
     in
-    let results = Kernel.solve pag budget expand node Hstack.empty in
+    let results = Kernel.solve pag budget expand node in
     Printf.printf "result: %s\n"
       (String.concat ", " (List.map (Ir.alloc_name prog) (Query.sites results)))
   in

@@ -108,19 +108,30 @@ let jobs_arg ~doc =
          ^ " $(docv) is a positive integer, or $(b,auto) for the host's recommended domain \
             count — e.g. $(b,--jobs auto)."))
 
-(* One shared sink per invocation: a [--trace FILE] JSONL writer, or null. *)
+(* [--trace FILE] opens one writer; every sink that traces into the file
+   is a [Trace.buffered_jsonl] over it. *)
+let trace_writer = function
+  | None -> None
+  | Some path -> (
+    match Trace.writer_to_file path with
+    | w -> Some w
+    | exception Sys_error msg ->
+      Printf.eprintf "error: cannot open trace file: %s\n" msg;
+      exit 1)
+
+(* One sink for a single-domain command, or null. It hands every line to
+   the writer as it is emitted, so a daemon stopped by SIGINT/SIGTERM
+   ([Trace.flush_on_signals]) leaves every emitted line on disk. *)
 let with_trace trace f =
-  let sink =
-    match trace with
-    | None -> Trace.null
-    | Some path -> (
-      match Trace.to_file path with
-      | sink -> sink
-      | exception Sys_error msg ->
-        Printf.eprintf "error: cannot open trace file: %s\n" msg;
-        exit 1)
-  in
-  Fun.protect ~finally:(fun () -> Trace.close sink) (fun () -> f sink)
+  match trace_writer trace with
+  | None -> f Trace.null
+  | Some w ->
+    let sink = Trace.buffered_jsonl ~flush_bytes:1 w in
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.close sink;
+        Trace.writer_close w)
+      (fun () -> f sink)
 
 (* One [ptsto.metrics/1] object for every command: a list of engine rows
    plus, for a [Parsolve] batch, the batch fields. Each row is an engine
@@ -261,16 +272,7 @@ let client_cmd lang file bench client_key engine_name budget prune cache_file tr
           None
         | None -> None
       in
-      let writer =
-        match trace with
-        | None -> None
-        | Some path -> (
-          match Trace.writer_to_file path with
-          | w -> Some w
-          | exception Sys_error msg ->
-            Printf.eprintf "error: cannot open trace file: %s\n" msg;
-            exit 1)
-      in
+      let writer = trace_writer trace in
       let verdicts, r =
         Client.answer ~conf ?trace_writer:writer ~jobs
           ?base:(Option.map (fun (_, _, tier) -> tier) cache)

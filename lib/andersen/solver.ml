@@ -330,8 +330,6 @@ let points_to t node =
   if node < Array.length t.pts && node < t.n_units then t.pts.(find t node)
   else Bitset.create ~capacity:1 ()
 
-let points_to_var t ~meth ~var = points_to t (Pag.local_node t.pag ~meth ~var)
-
 let is_reachable t mid = mid >= 0 && mid < Array.length t.reachable && t.reachable.(mid)
 
 let reachable_methods t =

@@ -38,8 +38,6 @@ val points_to : t -> Pag.node -> Pts_util.Bitset.t
 (** Allocation-site ids that may flow to the node. The returned set is the
     solver's own — do not mutate. *)
 
-val points_to_var : t -> meth:int -> var:int -> Pts_util.Bitset.t
-
 val is_reachable : t -> int -> bool
 (** Is the method id reachable from the roots? *)
 

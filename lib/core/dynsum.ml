@@ -62,15 +62,9 @@ type t = {
 
 let name = "dynsum"
 
-(* Legacy counter names for the cross-query summary cache. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "cache_hits"
-  | Trace.Summary_miss _ -> Some "cache_misses"
-  | _ -> None
-
 let create ?conf ?trace pag =
   {
-    env = Kernel.env ~name ~rename ?conf ?trace pag;
+    env = Kernel.env ~name ?conf ?trace pag;
     store = Ppta.store ();
     key_stacks = Cache.create 4096;
     base = None;
@@ -142,42 +136,6 @@ let snapshot t : snapshot =
 
 let state_of_int = function 1 -> Ppta.S1 | _ -> Ppta.S2
 
-(* Decode a structural image in the calling domain (re-interning every
-   stack in this domain's hash-cons store) and merge it into the live
-   cache, first-writer-wins per key. All-or-nothing: decodes into a
-   staging list first so a malformed payload never half-mutates the
-   cache. *)
-let absorb_images t images =
-  match
-    List.map
-      (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
-        let stack = Hstack.of_list syms in
-        let summary =
-          {
-            Ppta.objs;
-            tuples =
-              List.map (fun (tn, tf, ts) -> (tn, Hstack.of_list tf, state_of_int ts)) tuples;
-          }
-        in
-        ((node, Hstack.id stack, state), stack, summary, fp))
-      images
-  with
-  | exception _ -> Error "corrupt cache payload"
-  | staged ->
-    let n = ref 0 in
-    List.iter
-      (fun (key, stack, summary, fp) ->
-        if not (Cache.mem t.store.summaries key) then begin
-          incr n;
-          Ppta.add t.store key summary fp;
-          Cache.replace t.key_stacks key stack
-        end)
-      staged;
-    Ok !n
-
-let absorb t (s : snapshot) =
-  match absorb_images t s with Ok n -> n | Error _ -> 0
-
 let snapshot_length (s : snapshot) = List.length s
 
 let snapshot_union (snaps : snapshot list) : snapshot =
@@ -229,9 +187,9 @@ let rec base_evict_one (b : base) =
       end)
 
 let base_add (b : base) (s : snapshot) =
-  (* first writer wins, like [absorb_images]: summaries for the same key
-     are equal sets (PPTA is deterministic), so keeping the incumbent
-     only pins representation. Returns how many keys were new. Must only
+  (* first writer wins: summaries for the same key are equal sets (PPTA
+     is deterministic), so keeping the incumbent only pins
+     representation. Returns how many keys were new. Must only
      run while no worker is reading the base (between batches). *)
   let fresh = ref 0 in
   List.iter
@@ -301,8 +259,6 @@ let save_snapshot pag (s : snapshot) path =
     (fun () ->
       Marshal.to_channel oc (magic, fingerprint pag, Pag.graph_hash pag, Pag.epoch pag, s) [])
 
-let save_cache t path = save_snapshot t.env.Kernel.pag (snapshot t) path
-
 let load_snapshot pag path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
@@ -322,8 +278,6 @@ let load_snapshot pag path =
                of the same program is refused here *)
             Error "cache was built for a different version of this PAG"
           else Ok images)
-
-let load_cache t path = Result.bind (load_snapshot t.env.Kernel.pag path) (absorb_images t)
 
 (* A store miss: probe the shared base tier (structural key, so no
    rebase needed) before paying for a PPTA run. A base hit is memoised in
@@ -377,8 +331,6 @@ let fastpath t () =
   Trace.emit t.env.Kernel.sink
     (Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 })
 
-let points_to_in t ?satisfy v c0 =
+let points_to t ?satisfy v =
   Kernel.run_query t.env v (fun prune ->
-      Ppta.solve ?satisfy ?prune ~fastpath:(fastpath t) ~miss:(miss t) t.store t.env v c0)
-
-let points_to t ?satisfy v = points_to_in t ?satisfy v Hstack.empty
+      Ppta.solve ?satisfy ?prune ~fastpath:(fastpath t) ~miss:(miss t) t.store t.env v)

@@ -33,11 +33,6 @@ val points_to : t -> ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.
     false. Callers that need the full points-to set must not pass
     [satisfy]. *)
 
-val points_to_in :
-  t -> ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Pts_util.Hstack.t -> Query.outcome
-(** Query under a given initial calling context; [satisfy] as in
-    {!points_to}. *)
-
 val summary_count : t -> int
 (** Number of cached PPTA summaries (the size of [Cache] in Algorithm 4 —
     the quantity Figure 5 compares against STASUM). *)
@@ -56,19 +51,19 @@ val invalidate : t -> Pag.node list -> int * int
     are provably unaffected and survive. Returns
     [(dropped, retained)]. *)
 
-(** {2 Cache persistence}
+(** {2 Snapshots}
 
     The summary cache is the analysis session's accumulated knowledge; an
-    IDE wants it to survive restarts. Summaries are serialised
-    structurally (field stacks as symbol lists — hash-cons ids are
-    process-local) together with a fingerprint of the PAG (node and
-    per-kind edge counts), and a load against a differently-shaped PAG is
-    refused. *)
+    IDE wants it to survive restarts. A snapshot is its structural image
+    (field stacks as symbol lists — hash-cons ids are process-local): the
+    parallel scheduler merges per-domain snapshots, a {!base} tier serves
+    them to later engines, and {!save_snapshot}/{!load_snapshot} persist
+    them ([ptsto client --cache]). *)
 
 type snapshot
 (** Structural (domain-portable) image of a summary cache: field stacks
     travel as symbol lists, never as hash-cons ids, so a snapshot taken
-    in one domain can be absorbed in any other. *)
+    in one domain can be read in any other. *)
 
 val snapshot : t -> snapshot
 (** Image of the summaries {e this engine computed itself}: entries
@@ -78,13 +73,6 @@ val snapshot : t -> snapshot
     insertion (and hence scheduling) order. *)
 
 val snapshot_length : snapshot -> int
-
-val absorb : t -> snapshot -> int
-(** Merge a snapshot into this engine's live cache, re-interning every
-    stack in the calling domain's hash-cons store. Existing entries win
-    over incoming ones (the summaries are equal anyway — PPTA is
-    deterministic, so two caches never disagree on a key). Returns the
-    number of entries added. *)
 
 val snapshot_union : snapshot list -> snapshot
 (** Union of several snapshots, last-writer-wins on identical
@@ -161,32 +149,24 @@ val new_summary_count : t -> int
 (** Summaries this engine computed itself (excludes base-tier memos) —
     the per-worker "new work" figure the scheduler reports. *)
 
-val save_cache : t -> string -> unit
-(** Write the cache to a file. @raise Sys_error on IO failure. *)
-
-val load_cache : t -> string -> (int, string) result
-(** Merge a saved cache into this engine; returns the number of entries
-    loaded, or an error for a missing/corrupt file, a PAG-fingerprint
-    mismatch, or a {!Pag.graph_hash} mismatch (the header records the
-    exact edge-multiset hash and epoch at save time, so a cache from a
-    drifted build of the same program — where node/edge {e counts} may
-    still collide — is refused rather than replayed). Failures never
-    mutate the live cache: the payload is decoded and validated in full
-    before any entry is committed. *)
-
 val save_snapshot : Pag.t -> snapshot -> string -> unit
-(** Write a snapshot in the {!save_cache} format, fingerprinted against
-    the given PAG — how a batch run that never held one engine persists
-    its merged pool. @raise Sys_error on IO failure. *)
+(** Write a snapshot to a file whose header fingerprints the given PAG
+    (node and per-kind edge counts, {!Pag.graph_hash} and epoch).
+    @raise Sys_error on IO failure. *)
 
 val load_snapshot : Pag.t -> string -> (snapshot, string) result
-(** Read a {!save_cache}/{!save_snapshot} file without absorbing it —
-    e.g. to seed a {!base} tier with {!base_add}. Same refusals as
-    {!load_cache}. *)
+(** Read a {!save_snapshot} file, e.g. to seed a {!base} tier with
+    {!base_add}. Refuses, with an error and without reading any entry,
+    a missing or unreadable file, a file that is not a cache or whose
+    payload is truncated, a cache built for another PAG (fingerprint
+    mismatch), and one whose {!Pag.graph_hash} differs: the hash is
+    exact over the edge multiset, so a cache from a drifted build of the
+    same program — where node/edge {e counts} may still collide — is
+    refused rather than replayed. *)
 
 val env : t -> Kernel.env
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t
-(** Counters: ["queries"], ["exceeded"], ["cache_hits"] (=
-    ["summary_hits"]), ["cache_misses"] (= ["summary_misses"]),
-    ["no_local_fastpath"]. *)
+(** Counters: ["queries"], ["exceeded"], ["summary_hits"],
+    ["summary_misses"], ["no_local_fastpath"], and with a base tier
+    attached ["base_hits"] and ["base_misses"]. *)

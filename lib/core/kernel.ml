@@ -260,7 +260,7 @@ module Seen = Hashtbl.Make (struct
   let hash ((n, f, s, c) : t) = (((((n * 31) + f) * 31) + s) * 31) + c
 end)
 
-let solve ?stop ?prune pag budget (expand : expander) v c0 =
+let solve ?stop ?prune pag budget (expand : expander) v =
   let results = ref Query.Target_set.empty in
   let seen = Seen.create 256 in
   let work = Queue.create () in
@@ -273,7 +273,7 @@ let solve ?stop ?prune pag budget (expand : expander) v c0 =
     end
   in
   let stop_now () = match stop with Some pred -> pred !results | None -> false in
-  propagate v Hstack.empty S1 c0;
+  propagate v Hstack.empty S1 Hstack.empty;
   let finished = ref (Option.is_some stop && stop_now ()) in
   while (not (Queue.is_empty work)) && not !finished do
     let u, f, s, c = Queue.pop work in
@@ -343,7 +343,7 @@ type env = {
   sink : Trace.sink;
 }
 
-let env ~name ?rename ?(conf = Conf.default) ?(trace = Trace.null) pag =
+let env ~name ?(conf = Conf.default) ?(trace = Trace.null) pag =
   let stats = Pts_util.Stats.create () in
   {
     name;
@@ -351,7 +351,7 @@ let env ~name ?rename ?(conf = Conf.default) ?(trace = Trace.null) pag =
     conf;
     budget = Budget.create ~limit:conf.Conf.budget_limit;
     stats;
-    sink = Trace.tee (Trace.counting ?rename stats) trace;
+    sink = Trace.tee (Trace.counting stats) trace;
   }
 
 let run_query env v body =

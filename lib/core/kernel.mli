@@ -160,8 +160,9 @@ type expander = Pag.node -> Pts_util.Hstack.t -> state -> local_result
 val solve :
   ?stop:(Query.Target_set.t -> bool) ->
   ?prune:pruner ->
-  Pag.t -> Budget.t -> expander -> Pag.node -> Pts_util.Hstack.t -> Query.Target_set.t
-(** Run the worklist from [(v, ε, S1, c0)] to exhaustion. [prune] drops
+  Pag.t -> Budget.t -> expander -> Pag.node -> Query.Target_set.t
+(** Run the worklist from [(v, ε, S1, ε)] — the empty calling context —
+    to exhaustion. [prune] drops
     provably-fruitless states at enqueue time (inter-procedural expansion
     only — the engine decides separately whether its expander prunes its
     local walks, and summary-backed expanders must not). [stop] is
@@ -185,10 +186,8 @@ type env = {
 (** What every engine holds regardless of its local-edge strategy. *)
 
 val env :
-  name:string -> ?rename:(Trace.event -> string option) -> ?conf:Conf.t -> ?trace:Trace.sink ->
-  Pag.t -> env
-(** A fresh budget and counter table for one engine instance; [rename]
-    adds the engine's legacy counter names (see {!Trace.counting}). *)
+  name:string -> ?conf:Conf.t -> ?trace:Trace.sink -> Pag.t -> env
+(** A fresh budget and counter table for one engine instance. *)
 
 val run_query : env -> Pag.node -> (pruner option -> Query.Target_set.t) -> Query.outcome
 (** [run_query env v body] answers one demand query for root [v]; [body]

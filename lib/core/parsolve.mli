@@ -80,8 +80,8 @@ type result = {
       (** distinct summary keys in the final pool; at one worker, equal to
           {!field-merged_summaries} without building the pool *)
   summaries : Dynsum.snapshot Lazy.t;
-      (** the final merged pool, built when forced — absorb into a fresh
-          engine (or {!Dynsum.save_snapshot}) to persist *)
+      (** the final merged pool, built when forced — add it to a
+          {!Dynsum.base} tier, or persist it with {!Dynsum.save_snapshot} *)
   base_hits : int;
       (** [?base] lookup hits, as {e lifetime} tallies of the tier (the
           delta across the call is the caller's to take); all four

@@ -75,7 +75,7 @@ let invalidate ?(on_drop = ignore) st pag dirty =
     !doomed;
   (List.length !doomed, Tbl.length st.summaries)
 
-let solve ?satisfy ?prune ?(fastpath = ignore) ~miss st (env : Kernel.env) v c0 =
+let solve ?satisfy ?prune ?(fastpath = ignore) ~miss st (env : Kernel.env) v =
   let expand u f s =
     let summary =
       if not (Pag.has_local_edges env.pag u) then begin
@@ -100,4 +100,4 @@ let solve ?satisfy ?prune ?(fastpath = ignore) ~miss st (env : Kernel.env) v c0 
   (* the accumulated set grows towards the answer from below, so the only
      sound early exit for an anti-monotone predicate is refutation *)
   let stop = Option.map (fun pred acc -> not (pred acc)) satisfy in
-  Kernel.solve ?stop ?prune env.pag env.budget expand v c0
+  Kernel.solve ?stop ?prune env.pag env.budget expand v

@@ -84,8 +84,8 @@ val solve :
   ?prune:Kernel.pruner ->
   ?fastpath:(unit -> unit) ->
   miss:(Kernel.Key.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary) ->
-  store -> Kernel.env -> Pag.node -> Pts_util.Hstack.t -> Query.Target_set.t
-(** Algorithm 4 over the store: {!Kernel.solve} from [(v, ε, S1, c0)]
+  store -> Kernel.env -> Pag.node -> Query.Target_set.t
+(** Algorithm 4 over the store: {!Kernel.solve} from [(v, ε, S1, ε)]
     on the engine's budget, expanding each popped state by its summary. A
     node without local edges bypasses the store (the paper's fast path,
     announced through [fastpath]); a hit emits [Summary_hit]; a miss is

@@ -8,14 +8,9 @@ type t = {
   fb : Fieldbased.t; (* the field-based approximation match edges denote *)
 }
 
-(* Legacy counter names: the within-query memo is this engine's summary. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "memo_hits"
-  | _ -> None
-
 let create ?conf ?trace mode pag =
   let name = match mode with No_refine -> "norefine" | Refine -> "refinepts" in
-  { env = Kernel.env ~name ~rename ?conf ?trace pag; mode; fb = Fieldbased.create pag }
+  { env = Kernel.env ~name ?conf ?trace pag; mode; fb = Fieldbased.create pag }
 
 let env t = t.env
 let stats t = t.env.Kernel.stats
@@ -53,7 +48,7 @@ let pass ?prune ~policy (env : Kernel.env) budget v =
         r
     end
   in
-  Kernel.solve ?prune env.pag budget expand v Hstack.empty
+  Kernel.solve ?prune env.pag budget expand v
 
 let exact_pass ?prune env budget v = pass ?prune ~policy:Kernel.exact_policy env budget v
 

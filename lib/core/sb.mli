@@ -43,5 +43,5 @@ val env : t -> Kernel.env
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["passes"] (refinement passes),
-    ["memo_hits"] (= ["summary_hits"], the within-pass walk memo),
+    ["summary_hits"] (the within-pass walk memo),
     ["match_edges"] (field-based edges recorded for refinement). *)

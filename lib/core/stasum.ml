@@ -9,12 +9,6 @@ type t = {
 
 let name = "stasum"
 
-(* Legacy counter names for the precomputed summary table. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "online_hits"
-  | Trace.Summary_miss _ -> Some "online_misses"
-  | _ -> None
-
 let summary_count t = Tbl.length t.store.summaries
 
 let summary_points t = Ppta.points t.store
@@ -79,7 +73,7 @@ let offline t max_summaries =
 let create ?conf ?trace ?(max_summaries = 300_000) pag =
   let t =
     {
-      env = Kernel.env ~name ~rename ?conf ?trace pag;
+      env = Kernel.env ~name ?conf ?trace pag;
       store = Ppta.store ();
       truncated = false;
     }
@@ -94,5 +88,4 @@ let invalidate t dirty = Ppta.invalidate t.store t.env.Kernel.pag dirty
    offline phase missed are backfilled on demand. *)
 let points_to t ?satisfy v =
   Kernel.run_query t.env v (fun prune ->
-      Ppta.solve ?satisfy ?prune ~miss:(Ppta.derive_missing t.store t.env) t.store t.env v
-        Hstack.empty)
+      Ppta.solve ?satisfy ?prune ~miss:(Ppta.derive_missing t.store t.env) t.store t.env v)

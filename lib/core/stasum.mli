@@ -15,7 +15,7 @@
     uncapped offline phase the cache is total and demand queries never
     compute a summary; if the safety cap (or the field-depth bound)
     truncates the offline phase, missing keys are computed lazily and
-    counted in ["online_misses"]. *)
+    counted in ["summary_misses"]. *)
 
 type t
 
@@ -44,6 +44,5 @@ val invalidate : t -> Pag.node list -> int * int
 val env : t -> Kernel.env
 
 val stats : t -> Pts_util.Stats.t
-(** Counters: ["queries"], ["exceeded"], ["online_hits"] (=
-    ["summary_hits"]), ["online_misses"] (= ["summary_misses"]),
-    ["offline_depth_aborts"]. *)
+(** Counters: ["queries"], ["exceeded"], ["summary_hits"],
+    ["summary_misses"] (online phase), ["offline_depth_aborts"]. *)

@@ -23,12 +23,7 @@ type t = Kernel.env
 
 let ename = "supa"
 
-(* Within-query memo of local walks, as in the SB engines. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "memo_hits"
-  | _ -> None
-
-let create ?conf ?trace pag : t = Kernel.env ~name:ename ~rename ?conf ?trace pag
+let create ?conf ?trace pag : t = Kernel.env ~name:ename ?conf ?trace pag
 
 let env t = t
 

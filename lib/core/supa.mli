@@ -34,7 +34,7 @@ val points_to : t -> ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.
 
 val env : t -> Kernel.env
 (** Its [stats] counters: ["queries"], ["exceeded"], ["passes"] (1 =
-    baseline, 2 = refinement), ["memo_hits"] (within-query walk memo),
+    baseline, 2 = refinement), ["summary_hits"] (within-query walk memo),
     ["vfg_nodes"] (value-flow nodes visited), ["strong_updates"],
     ["weak_updates"], ["refinement_subqueries"] (points-to sub-queries
     issued to refute store aliasing). *)

@@ -333,15 +333,11 @@ let tee a b =
         b.close ());
   }
 
-let counting ?rename stats =
+let counting stats =
   {
     emit =
       (fun e ->
-        let d = counter_delta e in
-        (match counter_name e with Some n -> Stats.add stats n d | None -> ());
-        match rename with
-        | None -> ()
-        | Some f -> ( match f e with Some n -> Stats.add stats n d | None -> ()));
+        match counter_name e with Some n -> Stats.add stats n (counter_delta e) | None -> ());
     close = ignore;
   }
 
@@ -349,9 +345,9 @@ let counting ?rename stats =
 
 (* A process killed by SIGINT/SIGTERM dies without running [at_exit], so
    whatever a trace channel has buffered is lost and the file ends
-   mid-line. Every channel-owning sink/writer registers a flush thunk
-   here; [flush_on_signals] installs handlers that drain the registry and
-   then exit with the conventional 128+signal status. *)
+   mid-line. Every writer registers a flush thunk here; [flush_on_signals]
+   installs handlers that drain the registry and then exit with the
+   conventional 128+signal status. *)
 let flush_mutex = Mutex.create ()
 let flush_fns : (int, unit -> unit) Hashtbl.t = Hashtbl.create 8
 let flush_next_id = ref 0
@@ -393,48 +389,24 @@ let flush_on_signals () =
       [ Sys.sigint; Sys.sigterm ]
   end
 
-let jsonl oc =
-  {
-    emit =
-      (fun e ->
-        output_string oc (Json.to_string (event_to_json e));
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
-
-let to_file path =
-  let oc = open_out path in
-  let inner = jsonl oc in
-  let fid = register_flush (fun () -> flush oc) in
-  {
-    emit = inner.emit;
-    close =
-      (fun () ->
-        unregister_flush fid;
-        inner.close ();
-        close_out_noerr oc);
-  }
-
 (* ----------------------- domain-safe plumbing ---------------------- *)
 
-type writer = { w_mutex : Mutex.t; w_oc : out_channel; w_owns : bool; w_flush_id : int }
+type writer = { w_mutex : Mutex.t; w_oc : out_channel; w_flush_id : int }
 
 (* The registered thunk uses [try_lock]: if a signal lands while some
    domain is mid-[writer_lines], skipping the flush keeps the output free
    of torn lines (the runtime's own channel flushing still runs via
    [exit]); the handler must never block on a mutex its interrupted
    thread may hold. *)
-let make_writer oc owns =
+let writer_to_file path =
+  let oc = open_out path in
   let m = Mutex.create () in
   let id =
     register_flush (fun () ->
         if Mutex.try_lock m then
           Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> flush oc))
   in
-  { w_mutex = m; w_oc = oc; w_owns = owns; w_flush_id = id }
-
-let writer oc = make_writer oc false
-let writer_to_file path = make_writer (open_out path) true
+  { w_mutex = m; w_oc = oc; w_flush_id = id }
 
 let with_writer w f =
   Mutex.lock w.w_mutex;
@@ -446,7 +418,7 @@ let writer_close w =
   unregister_flush w.w_flush_id;
   with_writer w (fun () ->
       flush w.w_oc;
-      if w.w_owns then close_out_noerr w.w_oc)
+      close_out_noerr w.w_oc)
 
 let buffered_jsonl ?(flush_bytes = 1 lsl 16) w =
   let buf = Buffer.create 4096 in
@@ -464,11 +436,3 @@ let buffered_jsonl ?(flush_bytes = 1 lsl 16) w =
         if Buffer.length buf >= flush_bytes then flush_buf ());
     close = (fun () -> flush_buf ());
   }
-
-let locked sink =
-  let m = Mutex.create () in
-  let guarded f x =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
-  in
-  { emit = guarded sink.emit; close = (fun () -> guarded sink.close ()) }

@@ -6,9 +6,10 @@
 
     - {!null} — production hot path, zero work;
     - {!counting} — aggregates events into a {!Pts_util.Stats} table,
-      preserving the legacy per-engine counter names via [rename];
-    - {!jsonl} / {!to_file} — one JSON object per event, for offline
-      analysis of query behaviour ([ptsto --trace FILE]).
+      one canonical counter per event kind;
+    - {!buffered_jsonl} over a {!type:writer} — one JSON object per
+      event, for offline analysis of query behaviour
+      ([ptsto --trace FILE]).
 
     Sinks compose with {!tee}. Events carry no wall-clock timestamps so
     that traces of deterministic runs are byte-for-byte reproducible. *)
@@ -85,25 +86,15 @@ val close : sink -> unit
 
 val tee : sink -> sink -> sink
 
-val counting : ?rename:(event -> string option) -> Pts_util.Stats.t -> sink
-(** Aggregate events into [stats] under their canonical names; [rename]
-    may map an event to an {e additional} legacy counter name (e.g.
-    [Summary_hit] → ["cache_hits"] for DYNSUM). *)
-
-val jsonl : out_channel -> sink
-(** One compact JSON object per event, newline-delimited. [close] flushes
-    but does not close the channel. *)
-
-val to_file : string -> sink
-(** [jsonl] over a fresh file; [close] closes it. *)
+val counting : Pts_util.Stats.t -> sink
+(** Aggregate events into [stats] under their {!counter_name}s. *)
 
 (** {2 Shutdown flushing}
 
     A daemon killed by SIGINT/SIGTERM dies without [at_exit], truncating
-    buffered trace files mid-line. {!to_file} sinks and {!type:writer}s
-    register themselves with a process-wide flush registry;
-    {!flush_on_signals} arranges for that registry to drain before the
-    process exits on either signal. *)
+    buffered trace files mid-line. {!type:writer}s register themselves
+    with a process-wide flush registry; {!flush_on_signals} arranges for
+    that registry to drain before the process exits on either signal. *)
 
 val flush_all : unit -> unit
 (** Flush every registered channel now. Best-effort and non-blocking: a
@@ -116,37 +107,26 @@ val flush_on_signals : unit -> unit
     the conventional [128+signal] status. Idempotent; safe on platforms
     without signals (installation failures are ignored). *)
 
-(** {2 Domain-safe plumbing}
+(** {2 Trace files}
 
-    A plain {!sink} is single-domain state. When several domains trace
-    concurrently (the parallel batch scheduler), give each domain its own
-    {!buffered_jsonl} sink over one shared {!type:writer}: events
-    accumulate in a per-domain buffer of complete lines and are flushed
-    to the underlying channel under the writer's mutex, so the output
-    file interleaves whole JSONL lines, never partial ones. *)
+    A plain {!sink} is single-domain state. Every trace file is one
+    {!type:writer}, and every domain that traces into it gets its own
+    {!buffered_jsonl} sink over that writer: events accumulate in a
+    per-domain buffer of complete lines and are handed to the file under
+    the writer's mutex, so the file interleaves whole JSONL lines, never
+    partial ones. *)
 
 type writer
 
-val writer : out_channel -> writer
-(** Mutex-guarded writer over an existing channel; {!writer_close}
-    flushes but does not close it. *)
-
 val writer_to_file : string -> writer
-(** Writer over a fresh file; {!writer_close} closes it. *)
-
-val writer_lines : writer -> string -> unit
-(** Append a chunk (one or more complete ['\n']-terminated lines)
-    atomically with respect to other writers of the same {!type:writer}. *)
+(** Mutex-guarded writer over a fresh file. @raise Sys_error if the file
+    cannot be opened. *)
 
 val writer_close : writer -> unit
+(** Flush and close the file. *)
 
 val buffered_jsonl : ?flush_bytes:int -> writer -> sink
 (** Per-domain sink: buffers whole JSONL lines locally and hands them to
-    the shared writer once [flush_bytes] (default 64 KiB) accumulate.
-    [close] flushes the buffer; call it in the domain that emitted. *)
-
-val locked : sink -> sink
-(** Serialise [emit]/[close] of an arbitrary sink behind a fresh mutex —
-    the blunt fallback for sinks with no domain-safe variant (e.g.
-    {!counting} over a shared {!Pts_util.Stats.t}). Prefer per-domain
-    sinks merged after join. *)
+    the shared writer once [flush_bytes] (default 64 KiB) accumulate;
+    [~flush_bytes:1] hands over every line as it is emitted. [close]
+    flushes the buffer; call it in the domain that emitted. *)

@@ -10,7 +10,6 @@
 type side = {
   added : (int, (int * int) list) Hashtbl.t; (* node -> (aux, other), newest first *)
   deleted : (int * int * int, unit) Hashtbl.t; (* (node, aux, other) *)
-  mutable n_added : int;
   mutable n_deleted : int;
 }
 
@@ -19,7 +18,7 @@ type t = { sides : side array }
 let n_sides = 14
 
 let fresh_side () =
-  { added = Hashtbl.create 16; deleted = Hashtbl.create 16; n_added = 0; n_deleted = 0 }
+  { added = Hashtbl.create 16; deleted = Hashtbl.create 16; n_deleted = 0 }
 
 let create () = { sides = Array.init n_sides (fun _ -> fresh_side ()) }
 
@@ -32,9 +31,7 @@ let is_added t i node aux other =
   List.exists (fun (a, o) -> a = aux && o = other) (added_at t i node)
 
 let add t i node aux other =
-  let s = side t i in
-  Hashtbl.replace s.added node ((aux, other) :: added_at t i node);
-  s.n_added <- s.n_added + 1
+  Hashtbl.replace (side t i).added node ((aux, other) :: added_at t i node)
 
 (* Removes one occurrence; the caller guarantees presence (checked via
    [is_added] before deciding between un-adding and tombstoning). *)
@@ -45,10 +42,9 @@ let remove_added t i node aux other =
     | (a, o) :: rest when a = aux && o = other -> rest
     | p :: rest -> p :: drop rest
   in
-  (match drop (added_at t i node) with
+  match drop (added_at t i node) with
   | [] -> Hashtbl.remove s.added node
-  | l -> Hashtbl.replace s.added node l);
-  s.n_added <- s.n_added - 1
+  | l -> Hashtbl.replace s.added node l
 
 let is_deleted t i node aux other = Hashtbl.mem (side t i).deleted (node, aux, other)
 
@@ -67,10 +63,6 @@ let unmark_deleted t i node aux other =
   end
 
 let has_deletions t i = (side t i).n_deleted > 0
-
-let added_count t = Array.fold_left (fun acc s -> acc + s.n_added) 0 t.sides
-
-let deleted_count t = Array.fold_left (fun acc s -> acc + s.n_deleted) 0 t.sides
 
 (* Insertion-order iteration: the stored list is newest-first, and the
    traversal order feeds the kernel's worklist, so it must be a pure

@@ -42,6 +42,3 @@ val added_at : t -> int -> int -> (int * int) list
 val iter_added : t -> int -> int -> (int -> int -> unit) -> unit
 (** Iterate a node's overlay edges in {e insertion} order ([f aux other]);
     deterministic so replayed edit histories enqueue identically. *)
-
-val added_count : t -> int
-val deleted_count : t -> int

@@ -222,9 +222,6 @@ let is_obj t n = n >= t.obj_base && n < t.n_nodes
 let obj_site t n =
   if is_obj t n then n - t.obj_base else invalid_arg "Pag.obj_site: not an object node"
 
-let method_of_node t n =
-  match kind t n with Local { meth; _ } -> Some meth | Global _ | Obj _ -> None
-
 let node_name t n =
   match kind t n with
   | Local { meth; var } ->
@@ -845,9 +842,6 @@ let node_overlay_clean t n =
 let field_overlay_clean t fld = not (Hashtbl.mem t.overlay_fields fld)
 
 let graph_hash t = t.ghash
-
-let delta_counts t =
-  match t.delta with None -> (0, 0) | Some d -> (Delta.added_count d, Delta.deleted_count d)
 
 (* Canonical decomposition of a logical edge: the dedup/hash tuple plus
    where each direction lives in the overlay. *)

@@ -117,9 +117,6 @@ val obj_site : t -> node -> int
 val node_name : t -> node -> string
 (** Human-readable, e.g. ["Vector.add::p"], ["Client.vec$static"], ["o26"]. *)
 
-val method_of_node : t -> node -> int option
-(** Enclosing method for locals; [None] for globals and objects. *)
-
 (** {2 Adjacency (direction of value flow)}
 
     List views: backed by the build-side lists before {!freeze} and
@@ -348,6 +345,3 @@ val graph_hash : t -> int
     surely have identical edge sets — this is what the persisted summary
     cache header records, so a cache can never be replayed against a
     graph that has drifted. *)
-
-val delta_counts : t -> int * int
-(** [(added, deleted)] overlay edge records (both directions counted). *)

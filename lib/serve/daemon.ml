@@ -251,6 +251,9 @@ let run_stats t =
       ( "admission",
         J.Obj
           [
+            ("rejected_parse_error", J.Int (get "rejected_parse_error"));
+            ("rejected_bad_request", J.Int (get "rejected_bad_request"));
+            ("rejected_budget_too_large", J.Int (get "rejected_budget_too_large"));
             ("rejected_oversized", J.Int (get "rejected_oversized"));
             ("max_request_cost", J.Int t.cfg.c_max_cost);
           ] );
@@ -258,31 +261,32 @@ let run_stats t =
       ("latency", latency_json t);
     ]
 
-let dispatch t rq =
-  let id = rq.Proto.rq_id in
-  let finish op = function
-    | Ok fields -> Proto.ok ~id ~op fields
-    | Error (code, msg) -> Proto.error ~id code msg
-  in
-  match rq.Proto.rq_op with
-  | Proto.Query { client; engine; prune; budget } ->
-    finish "query" (run_query t ~client ~engine ~prune ~budget)
+let dispatch t = function
+  | Proto.Query { client; engine; prune; budget } -> run_query t ~client ~engine ~prune ~budget
   | Proto.Check { checkers; engine; prune; budget } ->
-    finish "check" (run_check t ~names:checkers ~engine ~prune ~budget)
-  | Proto.Edit { edits; seed } -> finish "edit" (run_edit t ~edits ~seed)
-  | Proto.Stats -> finish "stats" (run_stats t)
+    run_check t ~names:checkers ~engine ~prune ~budget
+  | Proto.Edit { edits; seed } -> run_edit t ~edits ~seed
+  | Proto.Stats -> run_stats t
   | Proto.Shutdown ->
     t.shutdown <- true;
-    finish "shutdown" (Ok [ ("base", base_json t) ])
+    Ok [ ("base", base_json t) ]
+
+(* Every refusal — undecodable, over the cost guard, or refused by its
+   handler — is counted under its error code, and only there. *)
+let refuse t ~id code msg =
+  Stats.bump t.counts ("rejected_" ^ code);
+  Proto.error ~id code msg
 
 let handle t rq =
-  let opn = Proto.op_name rq.Proto.rq_op in
-  let resp, seconds = Stats.time (fun () -> dispatch t rq) in
-  let micros = int_of_float (seconds *. 1e6) in
-  t.latencies_us <- micros :: t.latencies_us;
-  Stats.bump t.counts ("req_" ^ opn);
-  Trace.emit t.trace (Trace.Request_latency { engine = "serve"; op = opn; micros });
-  resp
+  let id = rq.Proto.rq_id and op = Proto.op_name rq.Proto.rq_op in
+  match Stats.time (fun () -> dispatch t rq.Proto.rq_op) with
+  | Error (code, msg), _ -> refuse t ~id code msg
+  | Ok fields, seconds ->
+    let micros = int_of_float (seconds *. 1e6) in
+    t.latencies_us <- micros :: t.latencies_us;
+    Stats.bump t.counts ("req_" ^ op);
+    Trace.emit t.trace (Trace.Request_latency { engine = "serve"; op; micros });
+    Proto.ok ~id ~op fields
 
 (* --------------------------- transport loop -------------------------- *)
 
@@ -298,11 +302,9 @@ let oversized t rq =
   else
     let cost = predicted_cost t rq in
     if cost <= t.cfg.c_max_cost then None
-    else begin
-      Stats.bump t.counts "rejected_oversized";
+    else
       Some
         (Printf.sprintf "predicted cost %d exceeds the per-request ceiling %d" cost t.cfg.c_max_cost)
-    end
 
 let serve_channel t ic oc =
   let rec loop () =
@@ -313,15 +315,15 @@ let serve_channel t ic oc =
       | line ->
         respond oc
           (match J.of_string line with
-          | Error msg -> Proto.error ~id:J.Null "parse_error" msg
+          | Error msg -> refuse t ~id:J.Null "parse_error" msg
           | Ok j -> (
             (* a request that parses but does not decode still gets its id *)
             match Proto.of_json j with
             | Error (code, msg) ->
-              Proto.error ~id:(Option.value ~default:J.Null (J.member "id" j)) code msg
+              refuse t ~id:(Option.value ~default:J.Null (J.member "id" j)) code msg
             | Ok rq -> (
               match oversized t rq with
-              | Some msg -> Proto.error ~id:rq.Proto.rq_id "oversized" msg
+              | Some msg -> refuse t ~id:rq.Proto.rq_id "oversized" msg
               | None -> handle t rq)));
         loop ()
   in

@@ -52,9 +52,11 @@ val base : t -> Dynsum.base
 val shutting_down : t -> bool
 
 val handle : t -> Proto.request -> Trace.Json.t
-(** Execute one request and return its response envelope. Also records
-    the request latency (a {!Trace.Request_latency} event and the
-    percentile pool [stats] reports). *)
+(** Execute one request and return its response envelope. An answered
+    request is counted under its op in [stats]' [requests], and its
+    latency is recorded (a {!Trace.Request_latency} event and the
+    percentile pool [stats] reports); a refused one is only counted
+    under [admission.rejected_<code>]. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
 (** Newline-delimited JSON loop: read one line, decode it, answer one

@@ -357,7 +357,7 @@ let test_dynsum_cache_reuse () =
   let steps_s2 = Budget.total_steps (Dynsum.budget dynsum) - steps_s1 in
   check Alcotest.bool "s2 cheaper than s1 thanks to reuse" true (steps_s2 < steps_s1);
   check Alcotest.bool "cache grew or stayed" true (Dynsum.summary_count dynsum >= summaries_after_s1);
-  let hits = Pts_util.Stats.get (Dynsum.stats dynsum) "cache_hits" in
+  let hits = Pts_util.Stats.get (Dynsum.stats dynsum) "summary_hits" in
   check Alcotest.bool "cache hits occurred" true (hits > 0)
 
 let test_dynsum_clear_cache () =
@@ -392,24 +392,45 @@ let test_dynsum_query_order_irrelevant () =
     (fun a b -> check Alcotest.bool "order-independent" true (Query.equal_outcome a b))
     r1 r2
 
+(* What [ptsto client --cache] does with a cache file: read it with
+   [Dynsum.load_snapshot] into a fresh base tier that the run's engines
+   sit on. A refused file leaves the tier empty. *)
+let restore pag path =
+  let tier = Dynsum.base_create () in
+  (tier, Result.map (Dynsum.base_add tier) (Dynsum.load_snapshot pag path))
+
+let warm_engine pl =
+  let warm = Dynsum.create pl.Pts_clients.Pipeline.pag in
+  List.iter
+    (fun q -> ignore (Dynsum.points_to warm q.Pts_clients.Client.q_node))
+    (Pts_clients.Safecast.queries pl);
+  warm
+
+let refused what (tier, r) =
+  (match r with Error _ -> () | Ok _ -> Alcotest.failf "%s accepted" what);
+  check Alcotest.int (what ^ ": tier stays empty") 0 (Dynsum.base_length tier)
+
+let with_cache_file f =
+  let path = Filename.temp_file "dynsum" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let test_dynsum_cache_persistence () =
   let pl = Pts_workload.Suite.pipeline "jack" in
   let pag = pl.Pts_clients.Pipeline.pag in
   let queries = Pts_clients.Safecast.queries pl in
   let warm = Dynsum.create pag in
   let cold_answers = List.map (fun q -> Dynsum.points_to warm q.Pts_clients.Client.q_node) queries in
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
-      let restored = Dynsum.create pag in
-      (match Dynsum.load_cache restored path with
+  with_cache_file (fun path ->
+      Dynsum.save_snapshot pag (Dynsum.snapshot warm) path;
+      let tier, r = restore pag path in
+      (match r with
       | Ok n -> check Alcotest.bool "entries loaded" true (n > 0)
       | Error e -> Alcotest.fail e);
-      check Alcotest.int "cache size restored" (Dynsum.summary_count warm)
-        (Dynsum.summary_count restored);
-      (* restored engine answers identically and without recomputation *)
+      check Alcotest.int "cache size restored" (Dynsum.summary_count warm) (Dynsum.base_length tier);
+      (* an engine on the restored tier answers identically and without
+         recomputation *)
+      let restored = Dynsum.create pag in
+      Dynsum.set_base restored tier;
       let restored_answers =
         List.map (fun q -> Dynsum.points_to restored q.Pts_clients.Client.q_node) queries
       in
@@ -417,91 +438,58 @@ let test_dynsum_cache_persistence () =
         (fun a b -> check Alcotest.bool "same answers after reload" true (Query.equal_outcome a b))
         cold_answers restored_answers;
       check Alcotest.int "no recomputation" 0
-        (Pts_util.Stats.get (Dynsum.stats restored) "cache_misses");
+        (Pts_util.Stats.get (Dynsum.stats restored) "summary_misses");
       (* loading against a different PAG is refused *)
       let other = Pts_workload.Suite.pipeline "javac" in
-      let wrong = Dynsum.create other.Pts_clients.Pipeline.pag in
-      match Dynsum.load_cache wrong path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "fingerprint mismatch accepted")
+      refused "fingerprint mismatch" (restore other.Pts_clients.Pipeline.pag path))
 
 let test_dynsum_cache_corrupt_file () =
   let pl = pipeline Pts_workload.Figure2.source in
-  let dynsum = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_cache_file (fun path ->
       let oc = open_out path in
       output_string oc "not a cache";
       close_out oc;
-      (match Dynsum.load_cache dynsum path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt file accepted");
-      check Alcotest.int "live cache untouched" 0 (Dynsum.summary_count dynsum))
+      refused "corrupt file" (restore pl.Pts_clients.Pipeline.pag path))
 
 let test_dynsum_cache_missing_file () =
   let pl = pipeline Pts_workload.Figure2.source in
-  let dynsum = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  ignore (Dynsum.points_to dynsum (Pts_workload.Figure2.s1 pl));
-  let before = Dynsum.summary_count dynsum in
-  (match Dynsum.load_cache dynsum "/nonexistent/dynsum.cache" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file accepted");
-  check Alcotest.int "live cache untouched" before (Dynsum.summary_count dynsum)
+  refused "missing file" (restore pl.Pts_clients.Pipeline.pag "/nonexistent/dynsum.cache")
 
 let test_dynsum_cache_truncated_file () =
-  (* a payload cut off mid-marshal must be rejected atomically: the live
-     cache keeps its pre-load contents *)
+  (* a payload cut off mid-marshal must be refused as a whole *)
   let pl = Pts_workload.Suite.pipeline "jack" in
   let pag = pl.Pts_clients.Pipeline.pag in
-  let warm = Dynsum.create pag in
-  List.iter
-    (fun q -> ignore (Dynsum.points_to warm q.Pts_clients.Client.q_node))
-    (Pts_clients.Safecast.queries pl);
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
+  with_cache_file (fun path ->
+      Dynsum.save_snapshot pag (Dynsum.snapshot (warm_engine pl)) path;
       let full = In_channel.with_open_bin path In_channel.input_all in
       check Alcotest.bool "cache file non-trivial" true (String.length full > 64);
       let oc = open_out_bin path in
       output_string oc (String.sub full 0 (String.length full / 2));
       close_out oc;
+      let tier, r = restore pag path in
+      refused "truncated file" (tier, r);
+      (* an engine over the refused tier still works *)
       let victim = Dynsum.create pag in
-      ignore (Dynsum.points_to victim (List.hd (Pts_clients.Safecast.queries pl)).Pts_clients.Client.q_node);
-      let before = Dynsum.summary_count victim in
-      (match Dynsum.load_cache victim path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "truncated file accepted");
-      check Alcotest.int "live cache untouched" before (Dynsum.summary_count victim);
-      (* the engine still works after the failed load *)
+      Dynsum.set_base victim tier;
       ignore
         (Dynsum.points_to victim
            (List.hd (Pts_clients.Safecast.queries pl)).Pts_clients.Client.q_node))
 
 let test_dynsum_cache_fingerprint_no_mutation () =
-  (* the fingerprint-mismatch refusal must also leave the target cache
-     alone *)
+  (* the fingerprint-mismatch refusal must also leave the target tier
+     alone, even one that already holds the other program's summaries *)
   let pl = Pts_workload.Suite.pipeline "jack" in
-  let warm = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  List.iter
-    (fun q -> ignore (Dynsum.points_to warm q.Pts_clients.Client.q_node))
-    (Pts_clients.Safecast.queries pl);
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
+  with_cache_file (fun path ->
+      Dynsum.save_snapshot pl.Pts_clients.Pipeline.pag (Dynsum.snapshot (warm_engine pl)) path;
       let other = Pts_workload.Suite.pipeline "javac" in
-      let wrong = Dynsum.create other.Pts_clients.Pipeline.pag in
-      ignore (Dynsum.points_to wrong (List.hd (Pts_clients.Safecast.queries other)).Pts_clients.Client.q_node);
-      let before = Dynsum.summary_count wrong in
-      (match Dynsum.load_cache wrong path with
+      let opag = other.Pts_clients.Pipeline.pag in
+      let tier = Dynsum.base_create () in
+      let before = Dynsum.base_add tier (Dynsum.snapshot (warm_engine other)) in
+      check Alcotest.bool "target tier non-empty" true (before > 0);
+      (match Result.map (Dynsum.base_add tier) (Dynsum.load_snapshot opag path) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "fingerprint mismatch accepted");
-      check Alcotest.int "live cache untouched" before (Dynsum.summary_count wrong))
+      check Alcotest.int "target tier untouched" before (Dynsum.base_length tier))
 
 (* ------------------------------ STASUM ------------------------------ *)
 
@@ -511,7 +499,7 @@ let test_stasum_covers_queries () =
   check Alcotest.bool "not truncated" false (Stasum.truncated stasum);
   ignore (Stasum.points_to stasum (Pts_workload.Figure2.s1 pl));
   ignore (Stasum.points_to stasum (Pts_workload.Figure2.s2 pl));
-  check Alcotest.int "no online misses" 0 (Pts_util.Stats.get (Stasum.stats stasum) "online_misses")
+  check Alcotest.int "no online misses" 0 (Pts_util.Stats.get (Stasum.stats stasum) "summary_misses")
 
 let test_stasum_computes_more_summaries_than_dynsum () =
   let pl = Pts_workload.Suite.pipeline "jack" in
@@ -543,7 +531,7 @@ let test_stasum_truncation_path () =
       end)
     queries;
   check Alcotest.bool "lazy misses recorded" true
-    (Pts_util.Stats.get (Stasum.stats stasum) "online_misses" > 0)
+    (Pts_util.Stats.get (Stasum.stats stasum) "summary_misses" > 0)
 
 let test_alias_unknown_on_budget () =
   let pl = Pts_workload.Figure2.pipeline () in
@@ -573,8 +561,8 @@ let test_engine_conf_variants () =
       Engine.conf ~budget_limit:1_000_000 ();
     ]
 
-let test_points_to_in_nonempty_context () =
-  (* querying under a specific calling context restricts the answer *)
+let test_empty_context_sees_every_caller () =
+  (* a demand query starts under the empty (unknown-caller) context *)
   let pl = Pts_workload.Figure2.pipeline () in
   let pag = pl.Pts_clients.Pipeline.pag in
   let prog = pl.Pts_clients.Pipeline.prog in
@@ -588,7 +576,7 @@ let test_points_to_in_nonempty_context () =
   in
   let node = Pag.local_node pag ~meth:retrieve.Ir.id ~var:ret_var in
   let dynsum = Dynsum.create pag in
-  match Dynsum.points_to_in dynsum node Pts_util.Hstack.empty with
+  match Dynsum.points_to dynsum node with
   | Query.Exceeded -> Alcotest.fail "exceeded"
   | Query.Resolved ts ->
     check Alcotest.int "unknown caller sees both" 2 (List.length (Query.sites ts))
@@ -679,7 +667,8 @@ let () =
         [
           Alcotest.test_case "alias unknown on budget" `Quick test_alias_unknown_on_budget;
           Alcotest.test_case "conf variants" `Quick test_engine_conf_variants;
-          Alcotest.test_case "non-empty context query" `Quick test_points_to_in_nonempty_context;
+          Alcotest.test_case "empty context sees every caller" `Quick
+            test_empty_context_sees_every_caller;
         ] );
       ( "refinepts",
         [

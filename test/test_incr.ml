@@ -192,9 +192,9 @@ let test_stale_cache_rejected () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dynsum.save_cache d path;
-      (match Dynsum.load_cache (Dynsum.create ~conf pag) path with
-      | Ok n -> check Alcotest.bool "same-graph load succeeds" true (n > 0)
+      Dynsum.save_snapshot pag (Dynsum.snapshot d) path;
+      (match Dynsum.load_snapshot pag path with
+      | Ok s -> check Alcotest.bool "same-graph load succeeds" true (Dynsum.snapshot_length s > 0)
       | Error e -> Alcotest.failf "same-graph load failed: %s" e);
       let src, dst = find_assign pag in
       let other =
@@ -213,11 +213,13 @@ let test_stale_cache_rejected () =
       ignore
         (Pag.apply_edits pag
            [ Pag.Edel (Pag.Eassign { src; dst }); Pag.Eadd (Pag.Eassign { src; dst = other }) ]);
-      match Dynsum.load_cache (Dynsum.create ~conf pag) path with
+      let tier = Dynsum.base_create () in
+      (match Result.map (Dynsum.base_add tier) (Dynsum.load_snapshot pag path) with
       | Ok _ -> Alcotest.fail "stale cache (count-preserving edit) was accepted"
       | Error msg ->
-        check Alcotest.bool "error names the version mismatch" true
-          (String.length msg > 0))
+        check Alcotest.string "error names the version mismatch"
+          "cache was built for a different version of this PAG" msg);
+      check Alcotest.int "tier stays empty" 0 (Dynsum.base_length tier))
 
 (* ------------- witness across a deleted edge: fail, not crash -------- *)
 

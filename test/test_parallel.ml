@@ -101,8 +101,10 @@ let test_snapshot_merge_preserves_answers () =
   List.iter (fun q -> ignore (Dynsum.points_to d2 q.Client.q_node)) half2;
   let merged = Dynsum.snapshot_union [ Dynsum.snapshot d1; Dynsum.snapshot d2 ] in
   Alcotest.(check bool) "union is non-empty" true (Dynsum.snapshot_length merged > 0);
+  let tier = Dynsum.base_create () in
+  Alcotest.(check bool) "the tier takes the union" true (Dynsum.base_add tier merged > 0);
   let seeded = Dynsum.create ~conf pag in
-  Alcotest.(check bool) "absorb adds entries" true (Dynsum.absorb seeded merged > 0);
+  Dynsum.set_base seeded tier;
   let fresh = Dynsum.create ~conf pag in
   List.iter
     (fun q ->
@@ -153,7 +155,7 @@ let test_cache_bytes_schedule_independent () =
   let seqd = Dynsum.create ~conf pl.Pipeline.pag in
   List.iter (fun q -> ignore (Dynsum.points_to seqd q.Client.q_node)) (Lazy.force queries);
   let path = Filename.temp_file "ptsto_cache" ".bin" in
-  Dynsum.save_cache seqd path;
+  Dynsum.save_snapshot pl.Pipeline.pag (Dynsum.snapshot seqd) path;
   let seq_bytes = read_file path in
   Sys.remove path;
   Alcotest.(check bool) "sequential cache is non-trivial" true (String.length seq_bytes > 0);
@@ -171,7 +173,7 @@ let test_cache_bytes_schedule_independent () =
       List.iteri
         (fun i q -> if i mod 2 = 0 then ignore (Dynsum.points_to half q.Client.q_node))
         (Lazy.force queries);
-      Dynsum.save_cache half path;
+      Dynsum.save_snapshot pl.Pipeline.pag (Dynsum.snapshot half) path;
       same (Printf.sprintf "jobs=%d warm" jobs) (cached_run ~jobs path))
     [ 1; 2; 4 ];
   (* a jobs=2 pool, saved without a file tier, matches too *)
@@ -187,7 +189,8 @@ let test_parallel_trace_whole_lines () =
   let pl = Lazy.force pl in
   let path = Filename.temp_file "ptsto_trace" ".jsonl" in
   let w = Trace.writer_to_file path in
-  (* tiny flush threshold forces many buffer handoffs to the shared writer *)
+  (* four domains share one writer; each hands its buffer over at the
+     default 64 KiB threshold and once more at close *)
   ignore
     (Parsolve.run ~conf ~trace_writer:w ~jobs:4 ~engine:"dynsum" pl.Pipeline.pag (qarr ()));
   Trace.writer_close w;

@@ -206,13 +206,43 @@ let test_edit_bound () =
   Alcotest.(check bool) "still serving" true (is_ok q);
   Alcotest.(check int) "graph untouched" 0 (int_field "epoch" q)
 
+(* Only answered requests count as served: a refused one is neither in
+   [requests] nor in the latency pool, only in [admission]. *)
 let test_stats_and_shutdown () =
-  let d = daemon () in
+  let d = daemon ~config:{ Daemon.default_config with Daemon.c_max_budget = 1_000_000 } () in
   ignore (Daemon.handle d (query "safecast"));
-  let st = Daemon.handle d (mk Proto.Stats) in
-  Alcotest.(check bool) "stats ok" true (is_ok st);
-  Alcotest.(check int) "one query counted" 1 (int_field "query" (Option.get (J.member "requests" st)));
+  let stats () =
+    let st = Daemon.handle d (mk Proto.Stats) in
+    Alcotest.(check bool) "stats ok" true (is_ok st);
+    let sub k = Option.get (J.member k st) in
+    (st, sub "requests", sub "latency", sub "admission")
+  in
+  let st, requests, latency, admission = stats () in
+  Alcotest.(check int) "one query counted" 1 (int_field "query" requests);
+  Alcotest.(check int) "one latency sample" 1 (int_field "count" latency);
   Alcotest.(check bool) "base health present" true (J.member "base" st <> None);
+  let refusals =
+    [
+      ("over-bound edit", mk (Proto.Edit { edits = 100_000_000; seed = 7 }), "bad_request");
+      ("budget 0", query ~budget:0 "safecast", "bad_request");
+      ("budget over the ceiling", query ~budget:2_000_000 "safecast", "budget_too_large");
+    ]
+  in
+  List.iter
+    (fun (what, rq, code) ->
+      Alcotest.(check string) what code (error_code (Daemon.handle d rq)))
+    refusals;
+  let _, requests', latency', admission' = stats () in
+  Alcotest.(check int) "refused query not counted" 1 (int_field "query" requests');
+  Alcotest.(check int) "refused edit not counted" 0 (int_field "edit" requests');
+  (* the first stats request is the one new sample *)
+  Alcotest.(check int) "refusals not timed" 2 (int_field "count" latency');
+  Alcotest.(check int) "bad_request refusals counted"
+    (int_field "rejected_bad_request" admission + 2)
+    (int_field "rejected_bad_request" admission');
+  Alcotest.(check int) "budget_too_large refusal counted"
+    (int_field "rejected_budget_too_large" admission + 1)
+    (int_field "rejected_budget_too_large" admission');
   Alcotest.(check bool) "not shutting down" false (Daemon.shutting_down d);
   Alcotest.(check bool) "shutdown ok" true (is_ok (Daemon.handle d (mk Proto.Shutdown)));
   Alcotest.(check bool) "shutting down" true (Daemon.shutting_down d)

@@ -57,14 +57,6 @@ let test_counting_sink () =
   (* Query_end aggregates into nothing *)
   check Alcotest.int "no query_end counter" 0 (Stats.get stats "query_end")
 
-let test_counting_rename_is_additive () =
-  let stats = Stats.create () in
-  let rename = function Trace.Summary_hit _ -> Some "cache_hits" | _ -> None in
-  let sink = Trace.counting ~rename stats in
-  List.iter (Trace.emit sink) sample_events;
-  check Alcotest.int "canonical name still bumped" 2 (Stats.get stats "summary_hits");
-  check Alcotest.int "legacy name bumped too" 2 (Stats.get stats "cache_hits")
-
 let test_tee () =
   let s1 = Stats.create () in
   let s2 = Stats.create () in
@@ -79,9 +71,11 @@ let test_jsonl_file_sink () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let sink = Trace.to_file path in
+      let w = Trace.writer_to_file path in
+      let sink = Trace.buffered_jsonl w in
       List.iter (Trace.emit sink) sample_events;
       Trace.close sink;
+      Trace.writer_close w;
       let ic = open_in path in
       let lines = ref [] in
       (try
@@ -242,7 +236,6 @@ let () =
       ( "sinks",
         [
           Alcotest.test_case "counting" `Quick test_counting_sink;
-          Alcotest.test_case "rename is additive" `Quick test_counting_rename_is_additive;
           Alcotest.test_case "tee" `Quick test_tee;
           Alcotest.test_case "jsonl file" `Quick test_jsonl_file_sink;
           Alcotest.test_case "null" `Quick test_null_sink;
